@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/dense_map.hpp"
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace webcache::cache {
@@ -59,18 +58,6 @@ class EvictionHeap {
 
   [[nodiscard]] bool contains(ObjectNum object) const {
     return pos_find(object) != nullptr;
-  }
-
-  /// Advisory prefetch of the slots a subsequent contains/find/set/erase for
-  /// `object` touches first: the position-index entry and the heap root (the
-  /// line every sift and pop reads). Pure hint; never affects victim order.
-  void prefetch(ObjectNum object) const {
-    if (dense_) {
-      dense_pos_.prefetch(object);
-    } else {
-      hashed_pos_.prefetch(object);
-    }
-    if (!nodes_.empty()) WEBCACHE_PREFETCH(nodes_.data());
   }
 
   /// Priority of `object`, or nullptr when absent. Valid until the next

@@ -32,7 +32,6 @@ class GreedyDualCache final : public Cache {
   [[nodiscard]] bool contains(ObjectNum object) const override {
     return order_.contains(object);
   }
-  void prefetch(ObjectNum object) const override { order_.prefetch(object); }
 
   /// On a hit, the object's credit resets to `cost` (plus inflation).
   void access(ObjectNum object, double cost) override;

@@ -173,14 +173,6 @@ struct SimConfig {
   /// sequence is identical for any chunking). 0 = the process default
   /// (workload::default_replay_chunk, WEBCACHE_REPLAY_CHUNK overridable).
   std::size_t replay_chunk = 0;
-  /// Pipelined execution window: how many requests the run loop
-  /// address-generates (routing, index/slot resolution, advisory
-  /// prefetches) ahead of executing them. 0 = the process default
-  /// (sim::default_pipeline_window: WEBCACHE_PIPELINE, 16 when unset);
-  /// 1 disables the pipeline. Purely a throughput knob — prefetches are
-  /// advisory and address generation is read-only, so results are
-  /// byte-identical for every value (pipeline_test pins this).
-  unsigned pipeline_window = 0;
   /// Intra-run sharding: number of worker shards one simulation is
   /// partitioned across. 0 (the default) selects the classic sequential
   /// engine, bit-for-bit unchanged. Any value >= 1 selects the sharded
@@ -289,11 +281,6 @@ class Simulator {
   };
 
   void step(const Request& request, unsigned proxy_index);
-  /// Address-generation half of the pipeline: issues advisory prefetches on
-  /// every index slot step() will chase for this request (policy indexes,
-  /// heap position entries, directory slots, residency words, browser
-  /// caches). Read-only; never observable in results.
-  void prefetch_request(const Request& request, unsigned proxy_index) const;
   /// Browser-cache front end: returns true when the request was absorbed.
   bool browser_lookup(const Request& request, unsigned proxy_index);
   void browser_fill(const Request& request, unsigned proxy_index);
@@ -418,7 +405,6 @@ class Simulator {
   Instruments inst_;
   net::MessageCounters msg_;  ///< simulator-level protocol messages ("net.*")
   std::uint64_t now_ = 0;     ///< trace position of the request in flight
-  unsigned pipeline_window_ = 1;  ///< resolved SimConfig::pipeline_window
   bool ran_ = false;
   bool residency_enabled_ = false;
   std::vector<std::uint64_t> res_primary_;

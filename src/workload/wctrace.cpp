@@ -89,13 +89,16 @@ WctraceHeader decode_header(const unsigned char (&bytes)[kWctraceHeaderSize],
   h.request_count = get_u64(bytes + 16);
   h.distinct_objects = get_u64(bytes + 24);
   h.checksum = get_u64(bytes + 32);
-  const std::uint64_t expected =
-      kWctraceHeaderSize + h.request_count * std::uint64_t{kWctraceRecordSize};
-  if (file_bytes != expected) {
-    throw std::runtime_error(
-        what + ": truncated or corrupt (header promises " + std::to_string(expected) +
-        " bytes for " + std::to_string(h.request_count) + " requests, file has " +
-        std::to_string(file_bytes) + ")");
+  // Compare by division, never count * record_size: a hostile count can wrap
+  // that product back onto the real payload size.
+  const std::uint64_t payload =
+      file_bytes > kWctraceHeaderSize ? file_bytes - kWctraceHeaderSize : 0;
+  if (payload % kWctraceRecordSize != 0 ||
+      h.request_count != payload / kWctraceRecordSize) {
+    throw std::runtime_error(what + ": truncated or corrupt (header promises " +
+                             std::to_string(h.request_count) + " requests of " +
+                             std::to_string(kWctraceRecordSize) + " bytes, file has " +
+                             std::to_string(file_bytes) + ")");
   }
   if (h.distinct_objects > std::uint64_t{std::numeric_limits<ObjectNum>::max()} + 1) {
     throw std::runtime_error(what + ": object universe too large for this build");

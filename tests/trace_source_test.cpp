@@ -154,6 +154,25 @@ TEST(Wctrace, RejectsTruncatedPayload) {
   std::filesystem::remove(path);
 }
 
+TEST(Wctrace, RejectsRequestCountThatWrapsThePayloadSize) {
+  // request_count + 2^61 makes count * 24 wrap mod 2^64 back onto the real
+  // payload size; such a header must not map past the end of the file.
+  const auto path = temp_path("wrappedcount.wct");
+  Trace trace = small_trace();
+  trace.requests.resize(10);
+  write_wctrace_file(path, trace);
+  patch_byte(path, 16 + 7, 0x20);  // top byte of the little-endian request_count
+  try {
+    (void)read_wctrace_header(path);
+    ADD_FAILURE() << "wrapped request_count was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated or corrupt"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(MmapTraceSource{path}, std::runtime_error);
+  std::filesystem::remove(path);
+}
+
 TEST(Wctrace, RejectsTruncatedHeader) {
   const auto path = temp_path("shortheader.wct");
   write_wctrace_file(path, small_trace());

@@ -41,11 +41,6 @@
 //                           N >= 1; 0 = classic sequential engine). Default
 //                           from WEBCACHE_SIM_SHARDS. See README
 //                           "Sharded runs" for the determinism contract.
-//   --pipeline-window K     batched lookahead of the replay hot loop: K
-//                           requests address-generate (routing + advisory
-//                           prefetches) ahead of execution. Byte-identical
-//                           results for every K; 1 disables, 0 defers to
-//                           WEBCACHE_PIPELINE (default 16).
 // Observability flags (schema "webcache-metrics/1", see README):
 //   --metrics-out FILE      full registry export; .csv extension selects the
 //                           flat CSV form, anything else writes JSON
@@ -77,9 +72,6 @@
 //   WEBCACHE_POLICY      default for --proxy-policy/--client-policy as
 //                        "<proxy>[,<client>]" (e.g. "w-tinylfu" or
 //                        "arc,lru"); flags win over the environment.
-//   WEBCACHE_PIPELINE    default for --pipeline-window: ON (=16, the
-//                        default), OFF (=1, no lookahead) or a window in
-//                        [1, 1024]. Purely a throughput knob.
 //
 // Exit code 0 on success, 2 on usage errors.
 #include <cstdlib>
@@ -188,7 +180,7 @@ const std::vector<std::string> kWorkloadFlags = {
 const std::vector<std::string> kClusterFlags = {
     "proxies", "cache-pct", "client-cache-pct", "directory", "bloom-fpr",
     "no-diversion", "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "shards",
-    "proxy-policy", "client-policy", "pipeline-window",
+    "proxy-policy", "client-policy",
 };
 const std::vector<std::string> kChurnFlags = {
     "churn-crashes", "churn-recover-after", "churn-joins", "churn-repair-every",
@@ -261,9 +253,6 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.browser_cache_capacity = flags.integer("browser-cache", 0);
   cfg.sim_shards =
       static_cast<unsigned>(flags.integer("shards", core::sim_shards_from_env()));
-  // 0 defers to the process default (WEBCACHE_PIPELINE, 16 when unset);
-  // results are byte-identical for every value — this is a throughput knob.
-  cfg.pipeline_window = static_cast<unsigned>(flags.integer("pipeline-window", 0));
 
   // Policy overrides: flags beat WEBCACHE_POLICY beats each scheme's default.
   const auto env_policies = core::policies_from_env();
