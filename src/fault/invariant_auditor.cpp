@@ -1,6 +1,8 @@
 #include "fault/invariant_auditor.hpp"
 
 #ifndef WEBCACHE_NO_AUDIT
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -63,21 +65,23 @@ struct Checker {
     }
   }
 
-  /// The cluster-residency bitmasks must mirror the actual caches exactly;
-  /// a drifted mask silently reroutes cooperative lookups.
+  /// The cluster-residency table must mirror the actual caches exactly, at
+  /// any proxy count; a drifted row silently reroutes cooperative lookups.
   void check_residency(const sim::Simulator& sim) {
-    if (!sim.residency_index_enabled()) return;
     const auto& config = sim.config();
-    const ObjectNum universe = sim.residency_universe();
-    std::vector<std::uint64_t> primary(universe, 0);
-    std::vector<std::uint64_t> secondary(universe, 0);
-    const auto mark = [&](std::vector<std::uint64_t>& masks,
-                          const std::vector<ObjectNum>& objects, unsigned p) {
+    const auto& primary = sim.residency(sim::Residency::kPrimary);
+    const auto& secondary = sim.residency(sim::Residency::kSecondary);
+    if (primary.empty()) return;  // non-cooperative schemes carry no table
+    const ObjectNum universe = primary.universe();
+    sim::ResidencyTable want_primary(universe, config.num_proxies);
+    sim::ResidencyTable want_secondary(universe, config.num_proxies);
+    const auto mark = [&](sim::ResidencyTable& table, const std::vector<ObjectNum>& objects,
+                          unsigned p) {
       for (const auto object : objects) {
         expect(object < universe, "residency: proxy " + std::to_string(p) +
                                       " caches object " + std::to_string(object) +
                                       " outside the trace universe");
-        if (object < universe) masks[object] |= std::uint64_t{1} << p;
+        table.assign(object, p, true);
       }
     };
     for (unsigned p = 0; p < config.num_proxies; ++p) {
@@ -85,26 +89,39 @@ struct Checker {
         case sim::Scheme::kSC:
         case sim::Scheme::kFC:
         case sim::Scheme::kHierGD:
-          mark(primary, sim.proxy_cache_of(p)->contents(), p);
+          mark(want_primary, sim.proxy_cache_of(p)->contents(), p);
           break;
         case sim::Scheme::kSC_EC:
-          mark(primary, sim.tiered_of(p)->tier1().contents(), p);
-          mark(secondary, sim.tiered_of(p)->tier2().contents(), p);
+          mark(want_primary, sim.tiered_of(p)->tier1().contents(), p);
+          mark(want_secondary, sim.tiered_of(p)->tier2().contents(), p);
           break;
-        case sim::Scheme::kFC_EC:
-          mark(primary, sim.tier_tracker_of(p)->contents(), p);
-          mark(secondary, sim.unified_of(p)->contents(), p);
+        case sim::Scheme::kFC_EC: {
+          // Tier 2 = the unified cache minus the tier tracker.
+          const auto* tracker = sim.tier_tracker_of(p);
+          std::vector<ObjectNum> tier2;
+          for (const auto object : sim.unified_of(p)->contents()) {
+            if (!tracker->contains(object)) tier2.push_back(object);
+          }
+          mark(want_primary, tracker->contents(), p);
+          mark(want_secondary, tier2, p);
           break;
+        }
         default:
-          return;  // non-cooperative schemes carry no index
+          return;
       }
     }
+    const auto same = [](std::span<const std::uint64_t> a, std::span<const std::uint64_t> b) {
+      // An unallocated relation reads as all-empty rows.
+      const auto zero = [](std::uint64_t w) { return w == 0; };
+      if (a.empty()) return std::all_of(b.begin(), b.end(), zero);
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
     for (ObjectNum object = 0; object < universe; ++object) {
-      expect(sim.residency_primary(object) == primary[object],
-             "residency: primary mask of object " + std::to_string(object) +
+      expect(same(primary.row(object), want_primary.row(object)),
+             "residency: primary row of object " + std::to_string(object) +
                  " disagrees with cache contents");
-      expect(sim.residency_secondary(object) == secondary[object],
-             "residency: secondary mask of object " + std::to_string(object) +
+      expect(same(secondary.row(object), want_secondary.row(object)),
+             "residency: secondary row of object " + std::to_string(object) +
                  " disagrees with cache contents");
     }
   }
@@ -177,7 +194,8 @@ struct Checker {
       // by the objects ever lost. Without crashes the mirror is exact.
       std::unordered_set<ObjectNum> resident_set(residents.begin(), residents.end());
       std::uint64_t ghosts = 0;
-      for (ObjectNum object = 0; object < sim.residency_universe(); ++object) {
+      const ObjectNum universe = sim.residency(sim::Residency::kPrimary).universe();
+      for (ObjectNum object = 0; object < universe; ++object) {
         if (dir->audit_contains(object) && !resident_set.contains(object)) ++ghosts;
       }
       const std::uint64_t lost = sim.registry().counter_value("fault.objects_lost");

@@ -120,9 +120,9 @@ class Registry {
     return counters_.names;
   }
   [[nodiscard]] const std::vector<std::string>& gauge_names() const { return gauges_.names; }
-  /// Stat/histogram names in registration order — the sharded engine's merge
-  /// walks per-shard registries by index range and replays instruments into
-  /// the canonical registry in construction order.
+  /// Stat/histogram names in registration order — the sharded engine's fold
+  /// walks every cluster registry in this order and replays its instruments
+  /// into the canonical registry.
   [[nodiscard]] const std::vector<std::string>& stat_names() const { return stats_.names; }
   [[nodiscard]] const std::vector<std::string>& histogram_names() const {
     return histograms_.names;

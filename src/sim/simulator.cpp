@@ -1,10 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
-#include "common/cluster_bitset.hpp"
 #include "sim/sharded.hpp"
 
 namespace webcache::sim {
@@ -96,43 +94,32 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
   }
 
   // Intra-run sharding: any sim_shards >= 1 on a supported shape selects the
-  // sharded engine. Clusters then bind their instruments into per-shard
-  // registries and cooperate through epoch-start digests instead of the
-  // live residency index; unsupported shapes keep the sequential engine at
-  // any sim_shards value (see SimConfig::sim_shards).
+  // sharded engine. Each cluster then gets its own lane and registry, and
+  // the residency tables below hold the epoch-start digests instead of live
+  // residency; unsupported shapes keep the sequential engine at any
+  // sim_shards value (see SimConfig::sim_shards).
   if (config_.sim_shards > 0 && sharding_supported(config_)) {
     sharded_ = std::make_unique<ShardedState>();
     ShardedState& st = *sharded_;
     st.shards = std::min(config_.sim_shards, config_.num_proxies);
     st.epoch_len = config_.shard_epoch > 0 ? config_.shard_epoch : kDefaultShardEpoch;
-    st.shard_registries.reserve(st.shards);
-    for (unsigned s = 0; s < st.shards; ++s) {
-      st.shard_registries.push_back(std::make_unique<obs::Registry>());
-    }
-    st.lanes.reserve(config_.num_proxies);
-    for (unsigned c = 0; c < config_.num_proxies; ++c) {
-      st.lanes.emplace_back(config_.latencies);
-    }
     st.outbox.resize(st.shards);
-    st.use_primary = proxies_cooperate(config_.scheme);
-    st.use_secondary = config_.scheme == Scheme::kSC_EC;
-    st.use_dir = config_.scheme == Scheme::kHierGD;
-    if (st.use_primary) st.digest_primary.assign(universe, ClusterBitset{});
-    if (st.use_secondary) st.digest_secondary.assign(universe, ClusterBitset{});
-    if (st.use_dir) st.digest_dir.assign(universe, ClusterBitset{});
+    for (unsigned c = 0; c < config_.num_proxies; ++c) {
+      st.registries.push_back(std::make_unique<obs::Registry>());
+      lanes_.emplace_back(*st.registries.back(), config_.latencies);
+    }
+  } else {
+    lanes_.emplace_back(*registry_, config_.latencies);
   }
 
-  // The residency index accelerates the cooperative remote-lookup scans; one
-  // bit per proxy caps the fast path at 64 proxies (beyond that the
-  // historical per-proxy probe loops take over). The sharded engine replaces
-  // it with the epoch digests above.
-  residency_enabled_ =
-      !sharded_ && proxies_cooperate(config_.scheme) && config_.num_proxies <= 64;
-  if (residency_enabled_) {
-    res_primary_.assign(universe, 0);
-    if (config_.scheme == Scheme::kSC_EC || config_.scheme == Scheme::kFC_EC) {
-      res_secondary_.assign(universe, 0);
-    }
+  if (proxies_cooperate(config_.scheme)) {
+    table_of(Residency::kPrimary) = ResidencyTable(universe, config_.num_proxies);
+  }
+  if (config_.scheme == Scheme::kSC_EC || config_.scheme == Scheme::kFC_EC) {
+    table_of(Residency::kSecondary) = ResidencyTable(universe, config_.num_proxies);
+  }
+  if (sharded_ && config_.scheme == Scheme::kHierGD) {
+    table_of(Residency::kDir) = ResidencyTable(universe, config_.num_proxies);
   }
 
   if (config_.scheme == Scheme::kHierGD || config_.scheme == Scheme::kSquirrel) {
@@ -169,31 +156,29 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     events.push_back({f.time, f.proxy, f.client, fault::ChurnAction::kCrash});
   }
   events.insert(events.end(), config_.churn_events.begin(), config_.churn_events.end());
-  churn_ = fault::ChurnEngine(std::move(events));
+  fault::ChurnEngine schedule(std::move(events));
   // Private loss stream forked off the run seed: enabling loss perturbs no
   // other draw, and the run stays a pure function of its configuration.
-  loss_ = fault::LossModel(config_.p2p_loss_rate,
-                           SplitMix64(config_.seed ^ 0x4c4f5353ULL).next());
-
+  const std::uint64_t loss_seed = config_.seed ^ 0x4c4f5353ULL;
   if (sharded_) {
     // Per-cluster slices of the globally sorted schedule (the stable filter
     // preserves same-cluster order) and per-(seed, cluster) loss substreams,
     // so each lane's draws depend only on its own event/transfer sequence.
     std::vector<std::vector<fault::ChurnEvent>> per_cluster(config_.num_proxies);
-    for (const auto& event : churn_.events()) {
+    for (const auto& event : schedule.events()) {
       if (event.proxy >= config_.num_proxies) {
         throw std::invalid_argument("Simulator: failure event references unknown proxy");
       }
       per_cluster[event.proxy].push_back(event);
     }
     for (unsigned c = 0; c < config_.num_proxies; ++c) {
-      ShardedState::Lane& lane = sharded_->lanes[c];
-      lane.churn = fault::ChurnEngine(std::move(per_cluster[c]));
-      lane.loss = fault::LossModel(
-          config_.p2p_loss_rate,
-          SplitMix64(config_.seed ^ 0x4c4f5353ULL ^ (0x9e3779b97f4a7c15ULL * (c + 1)))
-              .next());
+      const std::uint64_t cluster_seed = loss_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1));
+      lanes_[c].churn = fault::ChurnEngine(std::move(per_cluster[c]));
+      lanes_[c].loss = fault::LossModel(config_.p2p_loss_rate, SplitMix64(cluster_seed).next());
     }
+  } else {
+    lanes_[0].churn = std::move(schedule);
+    lanes_[0].loss = fault::LossModel(config_.p2p_loss_rate, SplitMix64(loss_seed).next());
   }
 
   proxies_.resize(config_.num_proxies);
@@ -201,20 +186,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     Proxy& proxy = proxies_[p];
     const std::string proxy_prefix = "proxy" + std::to_string(p) + ".";
     const std::string cluster_prefix = "cluster" + std::to_string(p) + ".";
-    // Sharded runs bind each cluster's instruments into its shard's private
-    // registry (no cross-thread sharing on the hot path); the post-run fold
-    // replays them into the canonical registry in cluster order. The index
-    // ranges recorded around the construction identify exactly this
-    // cluster's block inside the shard registry.
-    obs::Registry& reg =
-        sharded_ ? *sharded_->shard_registries[p % sharded_->shards] : *registry_;
-    ShardedState::Lane* lane = sharded_ ? &sharded_->lanes[p] : nullptr;
-    if (lane != nullptr) {
-      lane->c0 = reg.counter_names().size();
-      lane->g0 = reg.gauge_names().size();
-      lane->s0 = reg.stat_names().size();
-      lane->h0 = reg.histogram_names().size();
-    }
+    // A sharded run binds each cluster's components into the cluster's
+    // private registry, after its lane (no cross-thread sharing on the hot
+    // path); the post-run fold replays it into the canonical registry.
+    obs::Registry& reg = lane_of(p).registry;
     if (config_.browser_cache_capacity > 0) {
       proxy.browsers.reserve(config_.clients_per_cluster);
       for (ClientNum c = 0; c < config_.clients_per_cluster; ++c) {
@@ -255,48 +230,13 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
         proxy.tiered->reserve_universe(universe);
         proxy.tiered->bind_observability(reg, proxy_prefix + "tiered.");
-        if (residency_enabled_) {
-          proxy.tiered->set_transition_hook(
-              [this, p](ObjectNum object, TieredCache::Where now) {
-                switch (now) {
-                  case TieredCache::Where::kTier1:
-                    residency_set(res_primary_, object, p);
-                    residency_clear(res_secondary_, object, p);
-                    break;
-                  case TieredCache::Where::kTier2:
-                    residency_set(res_secondary_, object, p);
-                    residency_clear(res_primary_, object, p);
-                    break;
-                  case TieredCache::Where::kMiss:
-                    residency_clear(res_primary_, object, p);
-                    residency_clear(res_secondary_, object, p);
-                    break;
-                }
-              });
-        } else if (sharded_ && config_.scheme == Scheme::kSC_EC) {
-          // Sharded SC-EC: tier transitions feed the cluster's digest change
-          // log instead of the live residency index; the deltas apply to the
-          // shared digests at the epoch barrier. Only this cluster's shard
-          // fires the hook (refreshes never change membership), so the log
-          // stays single-writer.
-          proxy.tiered->set_transition_hook(
-              [lane](ObjectNum object, TieredCache::Where now) {
-                using DA = ShardedState::DigestArray;
-                switch (now) {
-                  case TieredCache::Where::kTier1:
-                    lane->log.push_back({object, DA::kPrimary, true});
-                    lane->log.push_back({object, DA::kSecondary, false});
-                    break;
-                  case TieredCache::Where::kTier2:
-                    lane->log.push_back({object, DA::kSecondary, true});
-                    lane->log.push_back({object, DA::kPrimary, false});
-                    break;
-                  case TieredCache::Where::kMiss:
-                    lane->log.push_back({object, DA::kPrimary, false});
-                    lane->log.push_back({object, DA::kSecondary, false});
-                    break;
-                }
-              });
+        if (config_.scheme == Scheme::kSC_EC) {
+          // Tier transitions are the SC-EC residency changes (refreshes
+          // never change membership).
+          proxy.tiered->set_transition_hook([this, p](ObjectNum object, TieredCache::Where now) {
+            record(p, Residency::kPrimary, object, now == TieredCache::Where::kTier1);
+            record(p, Residency::kSecondary, object, now == TieredCache::Where::kTier2);
+          });
         }
         break;
       }
@@ -363,12 +303,6 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       }
     }
-    if (lane != nullptr) {
-      lane->c1 = reg.counter_names().size();
-      lane->g1 = reg.gauge_names().size();
-      lane->s1 = reg.stat_names().size();
-      lane->h1 = reg.histogram_names().size();
-    }
   }
 }
 
@@ -382,26 +316,10 @@ bool Simulator::sharding_supported(const SimConfig& config) {
   if (config.snapshot_interval > 0 || config.trace_capacity > 0) return false;
   if (config.checkpoint_hook) return false;
   // A single cluster has nothing to parallelize over.
-  if (config.num_proxies < 2) return false;
-  // The cooperation digests are fixed 256-bit ClusterBitsets.
-  if (proxies_cooperate(config.scheme) && config.num_proxies > ClusterBitset::kMaxClusters) {
-    return false;
-  }
-  return true;
+  return config.num_proxies >= 2;
 }
 
 Simulator::~Simulator() = default;
-
-int Simulator::first_remote_holder(std::uint64_t mask, unsigned local) const {
-  mask &= ~(std::uint64_t{1} << local);  // ring scan excludes the local proxy
-  if (mask == 0) return -1;
-  // Ring order from local+1 upward, wrapping past the top proxy to 0.
-  const std::uint64_t later = local + 1 >= 64 ? 0 : mask >> (local + 1);
-  if (later != 0) {
-    return static_cast<int>(local + 1 + static_cast<unsigned>(std::countr_zero(later)));
-  }
-  return std::countr_zero(mask);
-}
 
 const p2p::P2PClientCache* Simulator::p2p_of(unsigned proxy) const {
   return proxy < proxies_.size() ? proxies_[proxy].p2p.get() : nullptr;
@@ -439,120 +357,6 @@ const DenseMap<double>* Simulator::fetch_costs_of(unsigned proxy) const {
   return proxy < proxies_.size() ? &proxies_[proxy].fetch_cost : nullptr;
 }
 
-ClientNum Simulator::client_of(const Request& request, const Proxy& proxy) const {
-  ClientNum c = request.client % config_.clients_per_cluster;
-  if (proxy.p2p && !proxy.p2p->client_alive(c)) {
-    // After fault injection a client may be gone; its user retries through a
-    // neighbour's machine.
-    for (ClientNum step = 1; step < config_.clients_per_cluster; ++step) {
-      const ClientNum candidate = (c + step) % config_.clients_per_cluster;
-      if (proxy.p2p->client_alive(candidate)) return candidate;
-    }
-    throw std::runtime_error("Simulator: all clients of a cluster have failed");
-  }
-  return c;
-}
-
-void Simulator::account(ServedFrom where, double wasted_latency, double hop_latency) {
-  account_raw(where,
-              config_.latencies.request_latency(where) + wasted_latency + hop_latency,
-              wasted_latency, hop_latency);
-}
-
-void Simulator::account_raw(ServedFrom where, double latency, double wasted_latency,
-                            double hop_latency) {
-  // Timeouts from injected P2P losses belong to the request in flight: fold
-  // them into its latency as waste and clear the queue.
-  if (pending_loss_waste_ != 0.0) {
-    latency += pending_loss_waste_;
-    wasted_latency += pending_loss_waste_;
-    pending_loss_waste_ = 0.0;
-  }
-  inst_.requests.inc();
-  switch (where) {
-    case ServedFrom::kBrowser: inst_.hits_browser.inc(); break;
-    case ServedFrom::kLocalProxy: inst_.hits_local_proxy.inc(); break;
-    case ServedFrom::kLocalP2P: inst_.hits_local_p2p.inc(); break;
-    case ServedFrom::kRemoteProxy: inst_.hits_remote_proxy.inc(); break;
-    case ServedFrom::kRemoteP2P: inst_.hits_remote_p2p.inc(); break;
-    case ServedFrom::kOriginServer: inst_.server_fetches.inc(); break;
-  }
-  inst_.total_latency.add(latency);
-  inst_.wasted_p2p_latency.add(wasted_latency);
-  inst_.p2p_hop_latency_total.add(hop_latency);
-  inst_.latency_hist.add(latency);
-  // Optional layers: the tracer records the request-level event, tick()
-  // advances the snapshot clock. Both compile to nothing under
-  // WEBCACHE_OBS_NO_TRACE and cost one predictable branch otherwise.
-  registry_->record(now_, static_cast<std::uint32_t>(where), latency, wasted_latency);
-  registry_->tick();
-}
-
-bool Simulator::browser_lookup(const Request& request, unsigned proxy_index) {
-  Proxy& proxy = proxies_[proxy_index];
-  if (proxy.browsers.empty()) return false;
-  auto& browser = *proxy.browsers[request.client % config_.clients_per_cluster];
-  if (!browser.contains(request.object)) return false;
-  browser.access(request.object, 0.0);
-  account(ServedFrom::kBrowser, 0.0);
-  return true;
-}
-
-void Simulator::browser_fill(const Request& request, unsigned proxy_index) {
-  Proxy& proxy = proxies_[proxy_index];
-  if (proxy.browsers.empty()) return;
-  auto& browser = *proxy.browsers[request.client % config_.clients_per_cluster];
-  if (!browser.contains(request.object)) {
-    browser.insert(request.object, 0.0);  // private cache; evictions vanish
-  }
-}
-
-void Simulator::apply_churn(const fault::ChurnEvent& event) {
-  if (event.proxy >= proxies_.size()) {
-    throw std::invalid_argument("Simulator: failure event references unknown proxy");
-  }
-  Proxy& proxy = proxies_[event.proxy];
-  switch (event.action) {
-    case fault::ChurnAction::kCrash: {
-      const ClientNum target = event.client % proxy.p2p->cluster_size();
-      // No-op if the machine is already down; a crash that would take the
-      // cluster's last live client is skipped (the paper's cluster always
-      // has someone left to route from).
-      if (!proxy.p2p->client_alive(target)) break;
-      if (proxy.p2p->alive_clients() <= 1) break;
-      // The crash silently loses the client's share of the P2P cache; the
-      // proxy's directory is NOT told (that is the point of the experiment)
-      // — it discovers the losses through failed lookups.
-      const auto lost = proxy.p2p->fail_client(target);
-      inst_.fault_crashes.inc();
-      inst_.fault_objects_lost.inc(lost.size());
-      break;
-    }
-    case fault::ChurnAction::kRejoin: {
-      const ClientNum target = event.client % proxy.p2p->cluster_size();
-      if (proxy.p2p->revive_client(target)) inst_.fault_rejoins.inc();
-      break;
-    }
-    case fault::ChurnAction::kJoin:
-      (void)proxy.p2p->add_client();
-      inst_.fault_joins.inc();
-      break;
-    case fault::ChurnAction::kRepair:
-      proxy.p2p->repair();
-      inst_.fault_repairs.inc();
-      break;
-  }
-}
-
-void Simulator::maybe_lose_p2p_message() {
-  if (!loss_.enabled()) return;
-  if (loss_.lose_message()) {
-    msg_.p2p_messages_lost.inc();
-    msg_.p2p_retries.inc();
-    pending_loss_waste_ += config_.latencies.loss_retry_penalty();
-  }
-}
-
 Metrics Simulator::run() {
   if (ran_) throw std::logic_error("Simulator::run: already ran (one-shot)");
   ran_ = true;
@@ -570,15 +374,10 @@ Metrics Simulator::run() {
     const auto win = source_->window(base, chunk);
     if (win.empty()) break;  // defensive: a well-formed source never starves
     for (std::size_t i = 0; i < win.size(); ++i) {
-      const Request& request = win[i];
       const std::uint64_t t = base + i;
-      churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
-      now_ = t;
-      const auto proxy_index = static_cast<unsigned>(t % config_.num_proxies);
-      if (!browser_lookup(request, proxy_index)) {
-        step(request, proxy_index);
-        browser_fill(request, proxy_index);
-      }
+      const auto cluster = static_cast<unsigned>(t % config_.num_proxies);
+      advance_churn(cluster, t);
+      serve(t, win[i], cluster);
       if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
         config_.checkpoint_hook(*this, t + 1);
         checked_at_end = t + 1 == total;
@@ -616,33 +415,269 @@ Metrics Simulator::metrics_view() const {
   return m;
 }
 
-void Simulator::step(const Request& request, unsigned proxy_index) {
-  switch (config_.scheme) {
-    case Scheme::kNC:
-    case Scheme::kSC:
-    case Scheme::kFC:
-      step_basic(request, proxy_index);
+// --- shared helpers -------------------------------------------------------------
+
+ClientNum Simulator::client_of(ClientNum raw, const Proxy& proxy) const {
+  const ClientNum c = raw % config_.clients_per_cluster;
+  if (proxy.p2p && !proxy.p2p->client_alive(c)) {
+    // After fault injection a client may be gone; its user retries through a
+    // neighbour's machine.
+    for (ClientNum step = 1; step < config_.clients_per_cluster; ++step) {
+      const ClientNum candidate = (c + step) % config_.clients_per_cluster;
+      if (proxy.p2p->client_alive(candidate)) return candidate;
+    }
+    throw std::runtime_error("Simulator: all clients of a cluster have failed");
+  }
+  return c;
+}
+
+double Simulator::stored_cost(const Proxy& proxy, ObjectNum object) const {
+  const double* stored = proxy.fetch_cost.find(object);
+  return stored != nullptr ? *stored : config_.latencies.fetch_cost(ServedFrom::kOriginServer);
+}
+
+void Simulator::count_hops(Lane& lane, unsigned hops) {
+  lane.inst.p2p_hops.add(static_cast<double>(hops));
+  lane.inst.hops_hist.add(static_cast<double>(hops));
+}
+
+void Simulator::maybe_lose(Lane& lane, double& loss_waste) {
+  if (!lane.loss.enabled()) return;
+  if (lane.loss.lose_message()) {
+    lane.msg.p2p_messages_lost.inc();
+    lane.msg.p2p_retries.inc();
+    loss_waste += config_.latencies.loss_retry_penalty();
+  }
+}
+
+void Simulator::account(Lane& lane, std::uint64_t t, ServedFrom where, double waste,
+                        double hop_latency, double loss_waste) {
+  account_raw(lane, t, where,
+              config_.latencies.request_latency(where) + waste + hop_latency + loss_waste,
+              waste + loss_waste, hop_latency);
+}
+
+void Simulator::account_raw(Lane& lane, std::uint64_t t, ServedFrom where, double latency,
+                            double wasted_latency, double hop_latency) {
+  Instruments& inst = lane.inst;
+  inst.requests.inc();
+  switch (where) {
+    case ServedFrom::kBrowser: inst.hits_browser.inc(); break;
+    case ServedFrom::kLocalProxy: inst.hits_local_proxy.inc(); break;
+    case ServedFrom::kLocalP2P: inst.hits_local_p2p.inc(); break;
+    case ServedFrom::kRemoteProxy: inst.hits_remote_proxy.inc(); break;
+    case ServedFrom::kRemoteP2P: inst.hits_remote_p2p.inc(); break;
+    case ServedFrom::kOriginServer: inst.server_fetches.inc(); break;
+  }
+  inst.total_latency.add(latency);
+  inst.wasted_p2p_latency.add(wasted_latency);
+  inst.p2p_hop_latency_total.add(hop_latency);
+  inst.latency_hist.add(latency);
+  // Optional layers: the tracer records the request-level event, tick()
+  // advances the snapshot clock. Both compile to nothing under
+  // WEBCACHE_OBS_NO_TRACE and cost one predictable branch otherwise (a
+  // sharded run never enables them on its cluster registries).
+  lane.registry.record(t, static_cast<std::uint32_t>(where), latency, wasted_latency);
+  lane.registry.tick();
+}
+
+void Simulator::advance_churn(unsigned cluster, std::uint64_t now) {
+  lane_of(cluster).churn.advance(now, [this](const fault::ChurnEvent& e) { apply_churn(e); });
+}
+
+void Simulator::apply_churn(const fault::ChurnEvent& event) {
+  if (event.proxy >= proxies_.size()) {
+    throw std::invalid_argument("Simulator: failure event references unknown proxy");
+  }
+  Proxy& proxy = proxies_[event.proxy];
+  Instruments& inst = lane_of(event.proxy).inst;
+  switch (event.action) {
+    case fault::ChurnAction::kCrash: {
+      const ClientNum target = event.client % proxy.p2p->cluster_size();
+      // No-op if the machine is already down; a crash that would take the
+      // cluster's last live client is skipped (the paper's cluster always
+      // has someone left to route from).
+      if (!proxy.p2p->client_alive(target)) break;
+      if (proxy.p2p->alive_clients() <= 1) break;
+      // The crash silently loses the client's share of the P2P cache; the
+      // proxy's directory is NOT told (that is the point of the experiment)
+      // — it discovers the losses through failed lookups.
+      const auto lost = proxy.p2p->fail_client(target);
+      inst.fault_crashes.inc();
+      inst.fault_objects_lost.inc(lost.size());
       break;
-    case Scheme::kNC_EC:
-    case Scheme::kSC_EC:
-      step_tiered_ec(request, proxy_index);
+    }
+    case fault::ChurnAction::kRejoin: {
+      const ClientNum target = event.client % proxy.p2p->cluster_size();
+      if (proxy.p2p->revive_client(target)) inst.fault_rejoins.inc();
       break;
-    case Scheme::kFC_EC:
-      step_fc_ec(request, proxy_index);
+    }
+    case fault::ChurnAction::kJoin:
+      (void)proxy.p2p->add_client();
+      inst.fault_joins.inc();
       break;
-    case Scheme::kHierGD:
-      step_hier_gd(request, proxy_index);
-      break;
-    case Scheme::kSquirrel:
-      step_squirrel(request, proxy_index);
+    case fault::ChurnAction::kRepair:
+      proxy.p2p->repair();
+      inst.fault_repairs.inc();
       break;
   }
 }
 
+cache::LruCache* Simulator::browser_for(unsigned cluster, ClientNum raw_client) {
+  auto& browsers = proxies_[cluster].browsers;
+  if (browsers.empty()) return nullptr;
+  return browsers[raw_client % config_.clients_per_cluster].get();
+}
+
+void Simulator::serve(std::uint64_t t, const Request& request, unsigned cluster) {
+  Lane& lane = lane_of(cluster);
+  cache::LruCache* browser = browser_for(cluster, request.client);
+  if (browser != nullptr && browser->contains(request.object)) {
+    browser->access(request.object, 0.0);
+    account(lane, t, ServedFrom::kBrowser);
+    return;
+  }
+  // A Hier-GD push finishes (browser fill included) in complete_push.
+  if (step(lane, t, request, cluster) && browser != nullptr) {
+    browser->insert(request.object, 0.0);  // private cache; evictions vanish
+  }
+}
+
+// --- how a kernel reaches another cluster -------------------------------------
+
+int Simulator::first_remote(Residency array, ObjectNum object, unsigned cluster) const {
+  if (array == Residency::kDir && !sharded_) {
+    // Sequential Hier-GD push target: probe the remote lookup directories in
+    // ring order (a Bloom directory's false positives apply here too).
+    for (unsigned q = 1; q < config_.num_proxies; ++q) {
+      const unsigned remote = (cluster + q) % config_.num_proxies;
+      if (proxies_[remote].dir->may_contain(object)) return static_cast<int>(remote);
+    }
+    return -1;
+  }
+  return residency(array).first_in_ring(object, cluster);
+}
+
+void Simulator::record(unsigned cluster, Residency array, ObjectNum object, bool present) {
+  ResidencyTable& table = table_of(array);
+  if (table.empty()) return;  // a relation this scheme/engine does not track
+  if (sharded_) {
+    lanes_[cluster].log.push_back({object, array, present});
+  } else {
+    table.assign(object, cluster, present);
+  }
+}
+
+Simulator::DeferredOp Simulator::cross_op(OpKind kind, std::uint64_t t, ObjectNum object,
+                                          unsigned source, int target) {
+  DeferredOp op;
+  op.pos = t;
+  op.object = object;
+  op.source = source;
+  op.target = static_cast<std::uint32_t>(target);
+  op.kind = kind;
+  return op;
+}
+
+void Simulator::send(DeferredOp op) {
+  if (sharded_) {
+    sharded_->outbox[op.source % sharded_->shards].push_back(op);
+    return;
+  }
+  apply(op);
+  if (op.kind == OpKind::kPushFetch) complete_push(op);
+}
+
+void Simulator::apply(DeferredOp& op) {
+  Proxy& remote = proxies_[op.target];
+  const double refetch = config_.latencies.fetch_cost(ServedFrom::kOriginServer);
+  // A sharded requester read an epoch-start digest: the advertised copy may
+  // have left since, and the refresh is then a no-op (the requester's
+  // outcome stands).
+  switch (op.kind) {
+    case OpKind::kProxyAccess:
+      if (remote.cache->contains(op.object)) remote.cache->access(op.object, refetch);
+      break;
+    case OpKind::kTieredRefresh:
+      if (remote.tiered->locate(op.object) != TieredCache::Where::kMiss) {
+        remote.tiered->refresh(op.object, refetch);
+      }
+      break;
+    case OpKind::kGdAccess:
+      if (remote.gd->contains(op.object)) {
+        remote.gd->access(op.object, stored_cost(remote, op.object));
+      }
+      break;
+    case OpKind::kPushFetch: {
+      const auto fetched = remote.p2p->fetch(op.object, client_of(op.raw_client, remote),
+                                             /*remove_on_hit=*/false);
+      op.hit = fetched.hit;
+      op.hops = fetched.hops;
+      if (!fetched.hit && config_.directory == DirectoryKind::kExact) {
+        remote.dir->remove(op.object);
+        record(op.target, Residency::kDir, op.object, false);
+      }
+      break;
+    }
+  }
+}
+
+void Simulator::complete_push(const DeferredOp& op) {
+  const unsigned cluster = op.source;
+  Lane& lane = lane_of(cluster);
+  const auto& lat = config_.latencies;
+  double waste = op.waste;
+  double loss_waste = op.loss_waste;
+  const double hop_latency = op.hop_latency + config_.p2p_hop_latency * op.hops;
+  count_hops(lane, op.hops);
+
+  ServedFrom served = ServedFrom::kOriginServer;
+  if (op.hit) {
+    lane.msg.push_transfers.inc();
+    lane.msg.directory_true_positives.inc();
+    served = ServedFrom::kRemoteP2P;
+  } else {
+    lane.msg.directory_false_positives.inc();
+    waste += lat.proxy_to_proxy() + lat.p2p_fetch();
+  }
+  const ClientNum client = client_of(op.raw_client, proxies_[cluster]);
+  admit_hier_gd(lane, cluster, op.object, lat.fetch_cost(served), client, loss_waste);
+  account(lane, op.pos, served, waste, hop_latency, loss_waste);
+  // A sharded push completes after the rest of its epoch, when a later
+  // request may already have filled the browser.
+  cache::LruCache* browser = browser_for(cluster, op.raw_client);
+  if (browser != nullptr && !browser->contains(op.object)) browser->insert(op.object, 0.0);
+}
+
+// --- the scheme kernels -----------------------------------------------------------
+
+bool Simulator::step(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster) {
+  switch (config_.scheme) {
+    case Scheme::kNC:
+    case Scheme::kSC:
+    case Scheme::kFC:
+      step_basic(lane, t, request, cluster);
+      return true;
+    case Scheme::kNC_EC:
+    case Scheme::kSC_EC:
+      step_tiered_ec(lane, t, request, cluster);
+      return true;
+    case Scheme::kFC_EC:
+      step_fc_ec(lane, t, request, cluster);
+      return true;
+    case Scheme::kHierGD:
+      return step_hier_gd(lane, t, request, cluster);
+    case Scheme::kSquirrel:
+      step_squirrel(lane, t, request, cluster);
+      return true;
+  }
+  return true;
+}
+
 // --- NC / SC / FC ------------------------------------------------------------
 
-void Simulator::step_basic(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_basic(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
 
   // Clairvoyant bookkeeping: this request is no longer in the future.
@@ -650,122 +685,91 @@ void Simulator::step_basic(const Request& request, unsigned proxy_index) {
 
   if (local.cache->contains(object)) {
     local.cache->access(object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-    account(ServedFrom::kLocalProxy, 0.0);
+    account(lane, t, ServedFrom::kLocalProxy);
     return;
   }
 
   ServedFrom served = ServedFrom::kOriginServer;
   if (proxies_cooperate(config_.scheme)) {
-    if (residency_enabled_) {
-      const int holder = first_remote_holder(residency_mask(res_primary_, object),
-                                             proxy_index);
-      if (holder >= 0) {
-        proxies_[static_cast<unsigned>(holder)].cache->access(
-            object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-        served = ServedFrom::kRemoteProxy;
-      }
-    } else {
-      for (unsigned q = 1; q < config_.num_proxies; ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        if (remote.cache->contains(object)) {
-          remote.cache->access(object,
-                               config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-          served = ServedFrom::kRemoteProxy;
-          break;
-        }
-      }
+    const int holder = first_remote(Residency::kPrimary, object, cluster);
+    if (holder >= 0) {
+      send(cross_op(OpKind::kProxyAccess, t, object, cluster, holder));
+      served = ServedFrom::kRemoteProxy;
     }
   }
 
   // SC always copies what it fetched; FC's cost-benefit policy may decline.
   const auto ins = local.cache->insert(object, config_.latencies.fetch_cost(served));
-  if (residency_enabled_ && ins.inserted) {
-    residency_set(res_primary_, object, proxy_index);
-    if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
+  if (ins.inserted) {
+    record(cluster, Residency::kPrimary, object, true);
+    if (ins.evicted) record(cluster, Residency::kPrimary, *ins.evicted, false);
   }
-  account(served, 0.0);
+  account(lane, t, served);
 }
 
 // --- NC-EC / SC-EC ------------------------------------------------------------
 
-void Simulator::step_tiered_ec(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_tiered_ec(Lane& lane, std::uint64_t t, const Request& request,
+                               unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
-  const double refetch = config_.latencies.fetch_cost(ServedFrom::kOriginServer);
 
   const auto where = local.tiered->locate(object);
   if (where != TieredCache::Where::kMiss) {
-    local.tiered->access(object, refetch);
-    account(where == TieredCache::Where::kTier1 ? ServedFrom::kLocalProxy
-                                                : ServedFrom::kLocalP2P,
-            0.0);
+    local.tiered->access(object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
+    const bool tier1 = where == TieredCache::Where::kTier1;
+    account(lane, t, tier1 ? ServedFrom::kLocalProxy : ServedFrom::kLocalP2P);
     return;
   }
 
   ServedFrom served = ServedFrom::kOriginServer;
   if (config_.scheme == Scheme::kSC_EC) {
-    // Prefer a remote proxy hit (Tc) over a remote P2P hit (Tc + Tp2p).
-    Proxy* tier2_holder = nullptr;
-    if (residency_enabled_) {
-      const int t1 = first_remote_holder(residency_mask(res_primary_, object), proxy_index);
-      if (t1 >= 0) {
-        proxies_[static_cast<unsigned>(t1)].tiered->refresh(object, refetch);
-        served = ServedFrom::kRemoteProxy;
-      } else {
-        const int t2 =
-            first_remote_holder(residency_mask(res_secondary_, object), proxy_index);
-        if (t2 >= 0) tier2_holder = &proxies_[static_cast<unsigned>(t2)];
-      }
+    // Prefer a remote proxy hit (Tc) over a remote P2P hit (Tc + Tp2p);
+    // either way the remote cluster refreshes its copy in place.
+    int holder = first_remote(Residency::kPrimary, object, cluster);
+    if (holder >= 0) {
+      served = ServedFrom::kRemoteProxy;
     } else {
-      for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-           ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        switch (remote.tiered->locate(object)) {
-          case TieredCache::Where::kTier1:
-            remote.tiered->refresh(object, refetch);
-            served = ServedFrom::kRemoteProxy;
-            break;
-          case TieredCache::Where::kTier2:
-            if (tier2_holder == nullptr) tier2_holder = &remote;
-            break;
-          case TieredCache::Where::kMiss:
-            break;
-        }
+      holder = first_remote(Residency::kSecondary, object, cluster);
+      if (holder >= 0) {
+        // Push protocol: the remote cluster's client cache pushes the object
+        // up through its own proxy.
+        served = ServedFrom::kRemoteP2P;
+        lane.msg.push_requests.inc();
+        lane.msg.push_transfers.inc();
       }
     }
-    if (served == ServedFrom::kOriginServer && tier2_holder != nullptr) {
-      // Push protocol: the remote cluster's client cache pushes the object
-      // up through its own proxy.
-      tier2_holder->tiered->refresh(object, refetch);
-      served = ServedFrom::kRemoteP2P;
-      msg_.push_requests.inc();
-      msg_.push_transfers.inc();
+    if (holder >= 0) {
+      send(cross_op(OpKind::kTieredRefresh, t, object, cluster, holder));
     }
   }
 
-  local.tiered->admit(object, config_.latencies.fetch_cost(served));
-  account(served, 0.0);
+  local.tiered->admit(object, config_.latencies.fetch_cost(served));  // hook records
+  account(lane, t, served);
 }
 
-// --- FC-EC ---------------------------------------------------------------------
+// --- FC-EC (sequential only: the clairvoyant coordinator is global) ------------
 
-void Simulator::track_tier1(unsigned proxy_index, ObjectNum object) {
-  Proxy& proxy = proxies_[proxy_index];
+void Simulator::track_tier1(unsigned cluster, ObjectNum object) {
+  Proxy& proxy = proxies_[cluster];
   if (proxy.tier_tracker->contains(object)) {
     proxy.tier_tracker->access(object, 0.0);
-  } else {
-    const auto ins = proxy.tier_tracker->insert(object, 0.0);
-    if (residency_enabled_ && ins.inserted) {
-      residency_set(res_primary_, object, proxy_index);
-      // The tracker's LRU evictee demotes to tier-2 residence (it is still
-      // in the unified cache, i.e. still in res_secondary_).
-      if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
-    }
+    return;
+  }
+  const auto ins = proxy.tier_tracker->insert(object, 0.0);
+  if (!ins.inserted) return;
+  record(cluster, Residency::kPrimary, object, true);
+  record(cluster, Residency::kSecondary, object, false);
+  if (ins.evicted) {
+    // The tracker's LRU evictee demotes to tier 2: it is still in the
+    // unified cache (tracker membership is a subset of unified membership).
+    record(cluster, Residency::kPrimary, *ins.evicted, false);
+    record(cluster, Residency::kSecondary, *ins.evicted, true);
   }
 }
 
-void Simulator::step_fc_ec(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_fc_ec(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
 
   // Clairvoyant bookkeeping: this request is no longer in the future.
@@ -774,246 +778,191 @@ void Simulator::step_fc_ec(const Request& request, unsigned proxy_index) {
   if (local.unified->contains(object)) {
     const bool tier1 = local.tier_tracker->contains(object);
     local.unified->access(object, 0.0);
-    track_tier1(proxy_index, object);  // tier-2 hits promote into proxy residence
-    account(tier1 ? ServedFrom::kLocalProxy : ServedFrom::kLocalP2P, 0.0);
+    track_tier1(cluster, object);  // tier-2 hits promote into proxy residence
+    account(lane, t, tier1 ? ServedFrom::kLocalProxy : ServedFrom::kLocalP2P);
     return;
   }
 
   ServedFrom served = ServedFrom::kOriginServer;
-  Proxy* tier2_holder = nullptr;
-  if (residency_enabled_) {
-    // Tracker membership is a subset of unified membership, so res_primary_
-    // alone identifies remote tier-1 holders.
-    const int t1 = first_remote_holder(residency_mask(res_primary_, object), proxy_index);
-    if (t1 >= 0) {
-      proxies_[static_cast<unsigned>(t1)].unified->access(object, 0.0);
-      served = ServedFrom::kRemoteProxy;
-    } else {
-      const int t2 = first_remote_holder(
-          residency_mask(res_secondary_, object) & ~residency_mask(res_primary_, object),
-          proxy_index);
-      if (t2 >= 0) tier2_holder = &proxies_[static_cast<unsigned>(t2)];
-    }
+  int holder = first_remote(Residency::kPrimary, object, cluster);
+  if (holder >= 0) {
+    served = ServedFrom::kRemoteProxy;
   } else {
-    for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-         ++q) {
-      Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-      if (!remote.unified->contains(object)) continue;
-      if (remote.tier_tracker->contains(object)) {
-        remote.unified->access(object, 0.0);
-        served = ServedFrom::kRemoteProxy;
-      } else if (tier2_holder == nullptr) {
-        tier2_holder = &remote;
-      }
+    holder = first_remote(Residency::kSecondary, object, cluster);
+    if (holder >= 0) {
+      served = ServedFrom::kRemoteP2P;
+      lane.msg.push_requests.inc();
+      lane.msg.push_transfers.inc();
     }
   }
-  if (served == ServedFrom::kOriginServer && tier2_holder != nullptr) {
-    tier2_holder->unified->access(object, 0.0);
-    served = ServedFrom::kRemoteP2P;
-    msg_.push_requests.inc();
-    msg_.push_transfers.inc();
-  }
+  if (holder >= 0) proxies_[static_cast<unsigned>(holder)].unified->access(object, 0.0);
 
   const auto ins = local.unified->insert(object, config_.latencies.fetch_cost(served));
   if (ins.inserted) {
-    if (residency_enabled_) {
-      residency_set(res_secondary_, object, proxy_index);
-      if (ins.evicted) residency_clear(res_secondary_, *ins.evicted, proxy_index);
-    }
-    track_tier1(proxy_index, object);
+    record(cluster, Residency::kSecondary, object, true);
+    track_tier1(cluster, object);
     if (ins.evicted) {
       local.tier_tracker->erase(*ins.evicted);
-      if (residency_enabled_) residency_clear(res_primary_, *ins.evicted, proxy_index);
+      record(cluster, Residency::kPrimary, *ins.evicted, false);
+      record(cluster, Residency::kSecondary, *ins.evicted, false);
     }
   }
-  account(served, 0.0);
+  account(lane, t, served);
 }
 
 // --- Hier-GD ---------------------------------------------------------------------
 
-void Simulator::destage_hier_gd(Proxy& proxy, ObjectNum victim, ClientNum via_client) {
+void Simulator::destage_hier_gd(Lane& lane, unsigned cluster, ObjectNum victim,
+                                ClientNum via_client, double& loss_waste) {
+  Proxy& proxy = proxies_[cluster];
   // Piggybacked on the HTTP response already going to via_client (Sec. 4.4).
-  msg_.destage_piggybacked.inc();
-  msg_.destage_bytes.inc();  // unit-size objects
+  lane.msg.destage_piggybacked.inc();
+  lane.msg.destage_bytes.inc();  // unit-size objects
 
-  const double* stored = proxy.fetch_cost.find(victim);
-  const double credit =
-      stored != nullptr ? *stored : config_.latencies.fetch_cost(ServedFrom::kOriginServer);
-  maybe_lose_p2p_message();  // the destage transfer itself may time out
+  const double credit = stored_cost(proxy, victim);
+  maybe_lose(lane, loss_waste);  // the destage transfer itself may time out
   const auto outcome = proxy.p2p->store(victim, credit, via_client);
-  inst_.p2p_hops.add(static_cast<double>(outcome.hops));
-  inst_.hops_hist.add(static_cast<double>(outcome.hops));
+  count_hops(lane, outcome.hops);
 
   if (outcome.stored && !outcome.already_present) {
     proxy.dir->add(victim);
-    msg_.directory_adds.inc();
+    lane.msg.directory_adds.inc();
+    record(cluster, Residency::kDir, victim, true);
   }
   if (outcome.displaced) {
     proxy.dir->remove(*outcome.displaced);
-    msg_.directory_removes.inc();
+    lane.msg.directory_removes.inc();
+    record(cluster, Residency::kDir, *outcome.displaced, false);
   }
 }
 
-void Simulator::admit_hier_gd(unsigned proxy_index, ObjectNum object, double cost,
-                              ClientNum via_client) {
-  Proxy& proxy = proxies_[proxy_index];
+void Simulator::admit_hier_gd(Lane& lane, unsigned cluster, ObjectNum object, double cost,
+                              ClientNum via_client, double& loss_waste) {
+  Proxy& proxy = proxies_[cluster];
+  // A sharded push completes after the rest of its epoch: a later request
+  // may have admitted the object inline meanwhile. Honour the cache contract
+  // (insert() is only for uncached objects) by refreshing instead. Never
+  // true in a sequential run, where the push completes at once.
+  if (proxy.gd->contains(object)) {
+    const double* stored = proxy.fetch_cost.find(object);
+    proxy.gd->access(object, stored != nullptr ? *stored : cost);
+    return;
+  }
   proxy.fetch_cost[object] = cost;
   const auto ins = proxy.gd->insert(object, cost);
-  if (residency_enabled_ && ins.inserted) {
-    residency_set(res_primary_, object, proxy_index);
-    if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
-  }
-  if (ins.inserted && ins.evicted) {
-    destage_hier_gd(proxy, *ins.evicted, via_client);
+  if (!ins.inserted) return;
+  record(cluster, Residency::kPrimary, object, true);
+  if (ins.evicted) {
+    record(cluster, Residency::kPrimary, *ins.evicted, false);
+    destage_hier_gd(lane, cluster, *ins.evicted, via_client, loss_waste);
   }
 }
 
-void Simulator::step_hier_gd(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+bool Simulator::step_hier_gd(Lane& lane, std::uint64_t t, const Request& request,
+                             unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
-  const ClientNum client = client_of(request, local);
+  const auto& lat = config_.latencies;
+  const ClientNum client = client_of(request.client, local);
 
   // Local proxy cache.
   if (local.gd->contains(object)) {
-    const double* stored = local.fetch_cost.find(object);
-    local.gd->access(object, stored != nullptr
-                                 ? *stored
-                                 : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-    account(ServedFrom::kLocalProxy, 0.0);
-    return;
+    local.gd->access(object, stored_cost(local, object));
+    account(lane, t, ServedFrom::kLocalProxy);
+    return true;
   }
 
   double waste = 0.0;
+  double loss_waste = 0.0;
   double hop_latency = 0.0;
 
   // Local P2P client cache, gated by the lookup directory.
   if (local.dir->may_contain(object)) {
-    maybe_lose_p2p_message();
+    maybe_lose(lane, loss_waste);
     const auto fetched = local.p2p->fetch(object, client, /*remove_on_hit=*/true);
-    inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
+    count_hops(lane, fetched.hops);
     hop_latency += config_.p2p_hop_latency * fetched.hops;
     if (fetched.hit) {
-      msg_.directory_true_positives.inc();
+      lane.msg.directory_true_positives.inc();
       local.dir->remove(object);
-      msg_.directory_removes.inc();
+      lane.msg.directory_removes.inc();
+      record(cluster, Residency::kDir, object, false);
       // Promote into the proxy; the proxy's eviction destages back down.
-      admit_hier_gd(proxy_index, object,
-                    config_.latencies.fetch_cost(ServedFrom::kLocalP2P), client);
-      account(ServedFrom::kLocalP2P, 0.0, hop_latency);
-      return;
+      admit_hier_gd(lane, cluster, object, lat.fetch_cost(ServedFrom::kLocalP2P), client,
+                    loss_waste);
+      account(lane, t, ServedFrom::kLocalP2P, 0.0, hop_latency, loss_waste);
+      return true;
     }
     // False positive (Bloom directory, or staleness after client failures):
     // the overlay round trip was wasted.
-    msg_.directory_false_positives.inc();
-    waste += config_.latencies.p2p_fetch();
+    lane.msg.directory_false_positives.inc();
+    waste += lat.p2p_fetch();
     // An exact directory learns the truth from the failed lookup. A
     // counting-Bloom directory must NOT erase a key it never inserted —
     // that would corrupt shared counters into false negatives.
-    if (config_.directory == DirectoryKind::kExact) local.dir->remove(object);
+    if (config_.directory == DirectoryKind::kExact) {
+      local.dir->remove(object);
+      record(cluster, Residency::kDir, object, false);
+    }
   }
 
-  // Cooperating proxies: their caches first (cheaper), then their P2P
-  // client caches via the push protocol (Sec. 4.5).
+  // Cooperating proxies: their caches first (cheaper), then the push
+  // protocol (Sec. 4.5) against the first cluster whose directory has it.
   ServedFrom served = ServedFrom::kOriginServer;
-  Proxy* push_holder = nullptr;
-  ClientNum push_client = 0;
-  if (residency_enabled_) {
-    const int holder = first_remote_holder(residency_mask(res_primary_, object),
-                                           proxy_index);
-    if (holder >= 0) {
-      Proxy& remote = proxies_[static_cast<unsigned>(holder)];
-      const double* stored = remote.fetch_cost.find(object);
-      remote.gd->access(object,
-                        stored != nullptr
-                            ? *stored
-                            : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-      served = ServedFrom::kRemoteProxy;
-    } else {
-      // No remote proxy holds it: the push candidate is the first cluster in
-      // ring order whose directory answers positively (exactly what the
-      // historical full scan selected when every gd probe missed).
-      for (unsigned q = 1; q < config_.num_proxies; ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        if (remote.dir->may_contain(object)) {
-          push_holder = &remote;
-          push_client = client_of(request, remote);
-          break;
-        }
-      }
-    }
-  } else {
-    for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-         ++q) {
-      Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-      if (remote.gd->contains(object)) {
-        const double* stored = remote.fetch_cost.find(object);
-        remote.gd->access(object,
-                          stored != nullptr
-                              ? *stored
-                              : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-        served = ServedFrom::kRemoteProxy;
-      } else if (push_holder == nullptr && remote.dir->may_contain(object)) {
-        push_holder = &remote;
-        push_client = client_of(request, remote);
-      }
-    }
+  const int holder = first_remote(Residency::kPrimary, object, cluster);
+  const int push_to = holder >= 0 ? -1 : first_remote(Residency::kDir, object, cluster);
+  if (holder >= 0) {
+    send(cross_op(OpKind::kGdAccess, t, object, cluster, holder));
+    served = ServedFrom::kRemoteProxy;
+  } else if (push_to >= 0) {
+    lane.msg.push_requests.inc();
+    maybe_lose(lane, loss_waste);
+    DeferredOp push = cross_op(OpKind::kPushFetch, t, object, cluster, push_to);
+    push.raw_client = request.client;
+    push.waste = waste;
+    push.loss_waste = loss_waste;
+    push.hop_latency = hop_latency;
+    send(push);
+    return false;  // complete_push finishes the request
   }
 
-  if (served == ServedFrom::kOriginServer && push_holder != nullptr) {
-    msg_.push_requests.inc();
-    maybe_lose_p2p_message();
-    const auto fetched = push_holder->p2p->fetch(object, push_client, /*remove_on_hit=*/false);
-    inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
-    hop_latency += config_.p2p_hop_latency * fetched.hops;
-    if (fetched.hit) {
-      msg_.push_transfers.inc();
-      msg_.directory_true_positives.inc();
-      served = ServedFrom::kRemoteP2P;
-    } else {
-      msg_.directory_false_positives.inc();
-      waste += config_.latencies.proxy_to_proxy() + config_.latencies.p2p_fetch();
-      if (config_.directory == DirectoryKind::kExact) push_holder->dir->remove(object);
-    }
-  }
-
-  admit_hier_gd(proxy_index, object, config_.latencies.fetch_cost(served), client);
-  account(served, waste, hop_latency);
+  admit_hier_gd(lane, cluster, object, lat.fetch_cost(served), client, loss_waste);
+  account(lane, t, served, waste, hop_latency, loss_waste);
+  return true;
 }
 
 // --- Squirrel (extension) -------------------------------------------------------
 
-void Simulator::step_squirrel(const Request& request, unsigned proxy_index) {
-  Proxy& org = proxies_[proxy_index];
+void Simulator::step_squirrel(Lane& lane, std::uint64_t t, const Request& request,
+                              unsigned cluster) {
+  Proxy& org = proxies_[cluster];
   const ObjectNum object = request.object;
-  const ClientNum client = client_of(request, org);
+  const auto& lat = config_.latencies;
+  const ClientNum client = client_of(request.client, org);
 
   // The requesting client routes straight to the object's home node. A home
   // hit serves at LAN cost; on a miss the home node fetches from the origin
   // server, caches the object (home-store model) and forwards it.
-  maybe_lose_p2p_message();
+  double loss_waste = 0.0;
+  maybe_lose(lane, loss_waste);
   const auto fetched = org.p2p->fetch(object, client, /*remove_on_hit=*/false);
-  inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
+  count_hops(lane, fetched.hops);
   const double hop_latency = config_.p2p_hop_latency * fetched.hops;
 
   if (fetched.hit) {
-    account_raw(ServedFrom::kLocalP2P, config_.latencies.p2p_fetch() + hop_latency,
-                /*wasted_latency=*/0.0, hop_latency);
+    account_raw(lane, t, ServedFrom::kLocalP2P, lat.p2p_fetch() + hop_latency + loss_waste,
+                loss_waste, hop_latency);
     return;
   }
   // The home-store leg may also time out; draw it before accounting so its
-  // retry penalty lands on this request, not the next one.
-  maybe_lose_p2p_message();
-  account_raw(ServedFrom::kOriginServer,
-              config_.latencies.p2p_fetch() + config_.latencies.server() + hop_latency,
-              /*wasted_latency=*/0.0, hop_latency);
+  // retry penalty lands on this request.
+  maybe_lose(lane, loss_waste);
+  account_raw(lane, t, ServedFrom::kOriginServer,
+              lat.p2p_fetch() + lat.server() + hop_latency + loss_waste, loss_waste, hop_latency);
   // The home node stores the object with its refetch cost as the credit.
   // (store() routes again from the client; the message count conservatively
   // includes both legs.)
-  (void)org.p2p->store(object, config_.latencies.fetch_cost(net::ServedFrom::kOriginServer),
-                       client);
+  (void)org.p2p->store(object, lat.fetch_cost(ServedFrom::kOriginServer), client);
 }
 
 Metrics run_simulation(const SimConfig& config, const workload::Trace& trace) {

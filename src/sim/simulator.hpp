@@ -20,10 +20,25 @@
 //                 Pastry-federated P2P client cache with object diversion,
 //                 a lookup directory (exact or Bloom), piggybacked destages
 //                 and the push protocol for remote access.
+//
+// One engine: each scheme's request path is written once (step_basic,
+// step_tiered_ec, step_fc_ec, step_hier_gd, step_squirrel) and runs either
+// sequentially (sim_shards = 0) or sharded (sim_shards >= 1,
+// sim/sharded_run.cpp). The engines differ only in how a kernel reaches
+// another cluster, through three helpers that branch once on the engine:
+//   first_remote  which other cluster holds the object: the live residency
+//                 table sequentially, the epoch-start digest when sharded;
+//   record        a residency change: written to the table at once, or
+//                 logged for the epoch barrier;
+//   send          a cross-cluster op: applied at once (plus the push
+//                 completion), or queued in the shard's outbox.
+// Outcome counters, churn and loss streams live in lanes: one lane bound to
+// the canonical registry sequentially, one per cluster when sharded.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -42,6 +57,7 @@
 #include "obs/registry.hpp"
 #include "p2p/p2p_client_cache.hpp"
 #include "sim/metrics.hpp"
+#include "sim/residency_table.hpp"
 #include "sim/scheme.hpp"
 #include "sim/tiered_cache.hpp"
 #include "workload/trace.hpp"
@@ -174,21 +190,20 @@ struct SimConfig {
   /// (workload::default_replay_chunk, WEBCACHE_REPLAY_CHUNK overridable).
   std::size_t replay_chunk = 0;
   /// Intra-run sharding: number of worker shards one simulation is
-  /// partitioned across. 0 (the default) selects the classic sequential
-  /// engine, bit-for-bit unchanged. Any value >= 1 selects the sharded
-  /// engine: proxy clusters (and their client populations) are partitioned
-  /// round-robin over min(sim_shards, num_proxies) worker threads, each
-  /// replaying its clusters' slice of the trace against its own data plane,
-  /// with cross-cluster interactions resolved through an epoch-digest
-  /// barrier protocol keyed on trace position. Results are byte-identical
-  /// for EVERY sim_shards >= 1 (the value only sets the parallelism), but
-  /// the cooperative schemes' numbers differ in detail from the sequential
-  /// engine because remote lookups consult epoch-start digests (see README
-  /// "Sharded runs"). Configurations whose semantics are inherently global
-  /// — FC/FC-EC (clairvoyant coordinator), interval snapshots, the event
-  /// tracer, checkpoint/audit hooks, a single proxy, or cooperative runs
-  /// with > 256 proxies (the cooperation digests are fixed 256-bit
-  /// ClusterBitsets) — fall back to the sequential engine at any value.
+  /// partitioned across. 0 (the default) selects the sequential engine. Any
+  /// value >= 1 selects the sharded engine: proxy clusters (and their client
+  /// populations) are partitioned round-robin over min(sim_shards,
+  /// num_proxies) worker threads, each replaying its clusters' slice of the
+  /// trace against its own data plane, with cross-cluster interactions
+  /// resolved through an epoch-digest barrier protocol keyed on trace
+  /// position. Both engines run the same scheme kernels. Results are
+  /// byte-identical for EVERY sim_shards >= 1 (the value only sets the
+  /// parallelism), but the cooperative schemes' numbers differ in detail
+  /// from the sequential engine because remote lookups consult epoch-start
+  /// digests (see README "Sharded runs"). Configurations whose semantics are
+  /// inherently global — FC/FC-EC (clairvoyant coordinator), interval
+  /// snapshots, the event tracer, checkpoint/audit hooks, or a single proxy
+  /// — fall back to the sequential engine at any value.
   unsigned sim_shards = 0;
   /// Digest refresh period of the sharded engine, in trace positions
   /// (0 = default, 8192). A semantic parameter of the sharded engine:
@@ -240,18 +255,12 @@ class Simulator {
   [[nodiscard]] const cache::LruCache* tier_tracker_of(unsigned proxy) const;
   [[nodiscard]] const cache::LruCache* browser_of(unsigned proxy, ClientNum client) const;
   [[nodiscard]] const DenseMap<double>* fetch_costs_of(unsigned proxy) const;
-  [[nodiscard]] bool residency_index_enabled() const { return residency_enabled_; }
-  [[nodiscard]] std::uint64_t residency_primary(ObjectNum object) const {
-    return residency_mask(res_primary_, object);
+  /// Cluster residency of the cooperative schemes (empty for a relation
+  /// the scheme does not use). Live in a sequential run; the epoch-start
+  /// digests in a sharded one.
+  [[nodiscard]] const ResidencyTable& residency(Residency which) const {
+    return residency_[static_cast<std::size_t>(which)];
   }
-  [[nodiscard]] std::uint64_t residency_secondary(ObjectNum object) const {
-    return residency_mask(res_secondary_, object);
-  }
-  /// Upper bound (exclusive) on object ids with possibly non-zero residency.
-  [[nodiscard]] ObjectNum residency_universe() const {
-    return static_cast<ObjectNum>(std::max(res_primary_.size(), res_secondary_.size()));
-  }
-  [[nodiscard]] const fault::ChurnEngine& churn() const { return churn_; }
 
   /// True when `config` actually runs the sharded engine at sim_shards >= 1;
   /// false means any sim_shards value falls back to the sequential engine
@@ -280,75 +289,9 @@ class Simulator {
     std::vector<std::unique_ptr<cache::LruCache>> browsers;
   };
 
-  void step(const Request& request, unsigned proxy_index);
-  /// Browser-cache front end: returns true when the request was absorbed.
-  bool browser_lookup(const Request& request, unsigned proxy_index);
-  void browser_fill(const Request& request, unsigned proxy_index);
-  /// Executes one due churn event (the ChurnEngine's dispatcher).
-  void apply_churn(const fault::ChurnEvent& event);
-  /// Draws one P2P transfer against the loss model; a loss queues an extra
-  /// Tp2p of wasted latency that account_raw folds into the current request.
-  void maybe_lose_p2p_message();
-  void step_basic(const Request& request, unsigned proxy_index);
-  void step_tiered_ec(const Request& request, unsigned proxy_index);
-  void step_fc_ec(const Request& request, unsigned proxy_index);
-  void step_hier_gd(const Request& request, unsigned proxy_index);
-  void step_squirrel(const Request& request, unsigned proxy_index);
-
-  // --- cluster residency index -------------------------------------------
-  // object → bitmask of proxies holding it, maintained from the step
-  // functions' insert/evict/erase results (plus the TieredCache transition
-  // hook), so the remote-lookup scans become one array read + a ring-ordered
-  // bit scan instead of per-proxy hash probes. Enabled for cooperating
-  // schemes with <= 64 proxies; the historical per-proxy probe loops remain
-  // as the fallback above that. What each mask means is per scheme:
-  //   SC / FC    res_primary_ = proxy cache membership
-  //   SC-EC      res_primary_ = tier 1 (proxy), res_secondary_ = tier 2 (P2P)
-  //   FC-EC      res_primary_ = tier tracker, res_secondary_ = unified cache
-  //              (tracker ⊆ unified; tier-2 candidates = unified & ~tracker)
-  //   Hier-GD    res_primary_ = proxy greedy-dual cache membership
-  [[nodiscard]] std::uint64_t residency_mask(const std::vector<std::uint64_t>& masks,
-                                             ObjectNum object) const {
-    return object < masks.size() ? masks[object] : 0;
-  }
-  void residency_set(std::vector<std::uint64_t>& masks, ObjectNum object, unsigned proxy) {
-    if (object >= masks.size()) masks.resize(object + 1, 0);
-    masks[object] |= std::uint64_t{1} << proxy;
-  }
-  void residency_clear(std::vector<std::uint64_t>& masks, ObjectNum object, unsigned proxy) {
-    if (object < masks.size()) masks[object] &= ~(std::uint64_t{1} << proxy);
-  }
-  /// First cooperating proxy in ring order (local+1, local+2, ... mod P)
-  /// whose bit is set; -1 when none. This is exactly the proxy the
-  /// historical scan loops selected.
-  [[nodiscard]] int first_remote_holder(std::uint64_t mask, unsigned local) const;
-
-  /// Records one served request: outcome counters + latency (+ waste and
-  /// per-hop charges). The latency charged is the model's request_latency
-  /// for `where` plus the waste and hop surcharges.
-  void account(net::ServedFrom where, double wasted_latency, double hop_latency = 0.0);
-  /// Same, but with an explicitly computed total latency (Squirrel's
-  /// proxy-less cost model differs from LatencyModel::request_latency).
-  void account_raw(net::ServedFrom where, double latency, double wasted_latency,
-                   double hop_latency);
-
-  /// Hier-GD: destages a proxy eviction into the P2P cache, piggybacked on
-  /// the response to `via_client`, and maintains the lookup directory.
-  void destage_hier_gd(Proxy& proxy, ObjectNum victim, ClientNum via_client);
-
-  /// Hier-GD: admits a fetched object into the proxy's greedy-dual cache.
-  void admit_hier_gd(unsigned proxy_index, ObjectNum object, double cost,
-                     ClientNum via_client);
-
-  /// Marks an object as recently proxy-resident for FC-EC attribution.
-  void track_tier1(unsigned proxy_index, ObjectNum object);
-
-  [[nodiscard]] ClientNum client_of(const Request& request, const Proxy& proxy) const;
-
-  /// The simulator's own request-outcome instruments ("sim.*"). Bound once
-  /// at construction; every served request costs a handful of
-  /// pointer-indirect increments, same order as the struct-member
-  /// increments they replaced.
+  /// The simulator's request-outcome instruments ("sim.*", "fault.*"),
+  /// bound once per lane; every served request costs a handful of
+  /// pointer-indirect increments.
   struct Instruments {
     Instruments(obs::Registry& registry, const net::LatencyModel& latencies);
     obs::Counter& requests;
@@ -371,22 +314,123 @@ class Simulator {
     Histogram& hops_hist;     ///< Pastry hops per P2P operation
   };
 
+  struct ResidencyChange {
+    ObjectNum object = 0;
+    Residency array = Residency::kPrimary;
+    bool present = false;
+  };
+
+  /// Where a request's outcomes land: its instruments and simulator-level
+  /// protocol messages ("net.*"), bound into `registry`, plus the churn and
+  /// loss streams it draws from. A sequential run has one lane on the
+  /// canonical registry with the global streams; a sharded run has one per
+  /// cluster on a private registry with the cluster's own substreams, which
+  /// only that cluster's shard touches during a phase (the alignment keeps
+  /// neighbouring lanes off one cache line).
+  struct alignas(64) Lane {
+    Lane(obs::Registry& reg, const net::LatencyModel& latencies)
+        : registry(reg), inst(reg, latencies), msg(reg, "net.") {}
+    obs::Registry& registry;
+    Instruments inst;
+    net::MessageCounters msg;
+    fault::ChurnEngine churn;
+    fault::LossModel loss;
+    /// Sharded runs: residency changes this epoch, applied to the digests
+    /// single-threaded at the epoch barrier.
+    std::vector<ResidencyChange> log;
+  };
+
+  /// A cross-cluster interaction. The sequential engine applies it at once;
+  /// the sharded engine queues it and the target cluster's shard applies it
+  /// in trace-position order at the epoch barrier. kProxyAccess/
+  /// kTieredRefresh/kGdAccess refresh the remote copy; kPushFetch also
+  /// carries the requester's in-flight accounting and receives the outcome
+  /// that complete_push finishes the request with.
+  enum class OpKind : std::uint8_t { kProxyAccess, kTieredRefresh, kGdAccess, kPushFetch };
+  struct DeferredOp {
+    std::uint64_t pos = 0;  ///< trace position (globally unique -> total order)
+    ObjectNum object = 0;
+    std::uint32_t source = 0;  ///< requesting cluster
+    std::uint32_t target = 0;  ///< cluster whose state the op touches
+    OpKind kind = OpKind::kProxyAccess;
+    ClientNum raw_client = 0;  ///< kPushFetch: the request's raw client id
+    double waste = 0.0;        ///< kPushFetch: requester waste so far
+    double loss_waste = 0.0;   ///< kPushFetch: requester loss penalties so far
+    double hop_latency = 0.0;  ///< kPushFetch: requester hop charges so far
+    bool hit = false;          ///< kPushFetch outcome (written by apply)
+    unsigned hops = 0;         ///< kPushFetch outcome (written by apply)
+  };
+
   /// Primary constructor: exactly one of `owned` / `external` is set; the
   /// public constructors forward here.
   Simulator(SimConfig config, std::unique_ptr<const workload::TraceSource> owned,
             const workload::TraceSource* external);
 
+  [[nodiscard]] Lane& lane_of(unsigned cluster) { return lanes_[sharded_ ? cluster : 0]; }
+  [[nodiscard]] ResidencyTable& table_of(Residency which) {
+    return residency_[static_cast<std::size_t>(which)];
+  }
+
+  // --- the request path, shared by both engines ----------------------------
+  /// Fires the churn events due at `now` on the cluster's stream (the global
+  /// one in a sequential run).
+  void advance_churn(unsigned cluster, std::uint64_t now);
+  void apply_churn(const fault::ChurnEvent& event);
+  /// Browser front end, scheme step, browser fill for request `t`.
+  void serve(std::uint64_t t, const Request& request, unsigned cluster);
+  /// Returns false when the request finishes in complete_push instead.
+  bool step(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  void step_basic(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  void step_tiered_ec(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  void step_fc_ec(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  bool step_hier_gd(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  void step_squirrel(Lane& lane, std::uint64_t t, const Request& request, unsigned cluster);
+  /// Hier-GD: admits a fetched object into the proxy's greedy-dual cache and
+  /// destages the eviction, piggybacked on the response to `via_client`.
+  void admit_hier_gd(Lane& lane, unsigned cluster, ObjectNum object, double cost,
+                     ClientNum via_client, double& loss_waste);
+  void destage_hier_gd(Lane& lane, unsigned cluster, ObjectNum victim, ClientNum via_client,
+                       double& loss_waste);
+  /// FC-EC: marks an object as recently proxy-resident (tier-1 attribution).
+  void track_tier1(unsigned cluster, ObjectNum object);
+  /// The live client a raw client id maps to (a failed machine's user
+  /// retries through the next live neighbour).
+  [[nodiscard]] ClientNum client_of(ClientNum raw, const Proxy& proxy) const;
+  [[nodiscard]] double stored_cost(const Proxy& proxy, ObjectNum object) const;
+  /// The client's private browser cache; null when browsers are off.
+  [[nodiscard]] cache::LruCache* browser_for(unsigned cluster, ClientNum raw_client);
+  void count_hops(Lane& lane, unsigned hops);
+  /// Draws one P2P transfer against the lane's loss stream; a loss adds a
+  /// retry penalty to the request's `loss_waste`.
+  void maybe_lose(Lane& lane, double& loss_waste);
+  /// Records one served request; latency = the model's latency for `where`
+  /// plus the waste, hop and loss surcharges.
+  void account(Lane& lane, std::uint64_t t, net::ServedFrom where, double waste = 0.0,
+               double hop_latency = 0.0, double loss_waste = 0.0);
+  /// Same with an explicit total latency (Squirrel's proxy-less cost model).
+  void account_raw(Lane& lane, std::uint64_t t, net::ServedFrom where, double latency,
+                   double wasted_latency, double hop_latency);
+
+  // --- how a kernel reaches another cluster (the only engine difference) ----
+  [[nodiscard]] int first_remote(Residency array, ObjectNum object, unsigned cluster) const;
+  [[nodiscard]] static DeferredOp cross_op(OpKind kind, std::uint64_t t, ObjectNum object,
+                                           unsigned source, int target);
+  void record(unsigned cluster, Residency array, ObjectNum object, bool present);
+  void send(DeferredOp op);
+  /// Applies a cross-cluster op to its target cluster.
+  void apply(DeferredOp& op);
+  /// Finishes a Hier-GD push request on its requesting cluster.
+  void complete_push(const DeferredOp& op);
+
   // --- intra-run sharding (sim/sharded_run.cpp) ----------------------------
-  /// All sharded-engine state: per-cluster lanes (accumulators, churn/loss
-  /// substreams, digest change logs, instrument index ranges), per-shard
-  /// registries, cooperation digests and the deferred-op outboxes. Null when
-  /// the sequential engine runs.
+  /// Sharded-engine state: per-cluster registries, the epoch length and the
+  /// outboxes. Null when the sequential engine runs.
   struct ShardedState;
   /// The sharded run loop: per epoch, phase 1 (parallel local replay against
   /// epoch-start digests), phase 2a (apply inbound cross-cluster ops in trace
   /// order), phase 2b (complete own deferred requests), then a single-threaded
-  /// digest/outbox flush; finally folds every lane and shard registry into
-  /// the canonical registry in cluster order.
+  /// digest/outbox flush; finally folds every cluster registry into the
+  /// canonical registry in cluster order.
   Metrics run_sharded();
   void sharded_fold();
 
@@ -396,19 +440,15 @@ class Simulator {
   std::unique_ptr<cache::CostBenefitCoordinator> coordinator_;
   std::shared_ptr<const std::vector<Uint128>> object_ids_;
   std::vector<Proxy> proxies_;
-  fault::ChurnEngine churn_;  ///< merged client_failures + churn_events
-  fault::LossModel loss_;
-  /// Wasted latency from P2P losses since the last account_raw; flushed into
-  /// the request in flight (losses only occur on its own transfers).
-  double pending_loss_waste_ = 0.0;
   std::shared_ptr<obs::Registry> registry_;  // never null after construction
+  /// Canonical "sim.*"/"fault.*" and "net.*" instruments, registered first
+  /// (the export order) and read by metrics_view. A sequential run's one
+  /// lane binds these same instruments; sharded lanes fold into them.
   Instruments inst_;
-  net::MessageCounters msg_;  ///< simulator-level protocol messages ("net.*")
-  std::uint64_t now_ = 0;     ///< trace position of the request in flight
+  net::MessageCounters msg_;
+  std::deque<Lane> lanes_;
+  std::array<ResidencyTable, 3> residency_;  ///< indexed by Residency
   bool ran_ = false;
-  bool residency_enabled_ = false;
-  std::vector<std::uint64_t> res_primary_;
-  std::vector<std::uint64_t> res_secondary_;
   std::unique_ptr<ShardedState> sharded_;  ///< non-null = sharded engine runs
 };
 

@@ -190,23 +190,29 @@ TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
   for (const auto scheme : schemes) {
     const bool addressable =
         scheme == sim::Scheme::kHierGD || scheme == sim::Scheme::kSquirrel;
-    for (const std::uint64_t seed : {99ull, 424242ull}) {
-      auto cfg = base_config(scheme);
-      cfg.checkpoint_interval = 4'000;
-      cfg.checkpoint_hook = fault::make_audit_hook();
-      if (addressable) {
-        auto spec = heavy_spec(trace.size());
-        spec.seed = seed;
-        cfg.churn_events = fault::make_schedule(spec, trace.size(), cfg.num_proxies,
-                                                cfg.clients_per_cluster);
-        cfg.p2p_loss_rate = 0.05;
-      } else if (seed != 99ull) {
-        continue;  // no churn to reseed; the run would be identical
+    // Cooperative schemes also run above 64 proxies, where the residency
+    // table spans two words per object.
+    for (const unsigned proxies : {2U, 72U}) {
+      if (proxies != 2U && !sim::proxies_cooperate(scheme)) continue;
+      for (const std::uint64_t seed : {99ull, 424242ull}) {
+        auto cfg = base_config(scheme);
+        cfg.num_proxies = proxies;
+        cfg.checkpoint_interval = 4'000;
+        cfg.checkpoint_hook = fault::make_audit_hook();
+        if (addressable) {
+          auto spec = heavy_spec(trace.size());
+          spec.seed = seed;
+          cfg.churn_events = fault::make_schedule(spec, trace.size(), cfg.num_proxies,
+                                                  cfg.clients_per_cluster);
+          cfg.p2p_loss_rate = 0.05;
+        } else if (seed != 99ull) {
+          continue;  // no churn to reseed; the run would be identical
+        }
+        const auto m = sim::run_simulation(cfg, trace);  // audit hook throws on violation
+        EXPECT_EQ(m.requests, trace.size()) << sim::to_string(scheme);
+        EXPECT_EQ(m.total_hits() + m.server_fetches, trace.size())
+            << sim::to_string(scheme) << " seed " << seed << " proxies " << proxies;
       }
-      const auto m = sim::run_simulation(cfg, trace);  // audit hook throws on violation
-      EXPECT_EQ(m.requests, trace.size()) << sim::to_string(scheme);
-      EXPECT_EQ(m.total_hits() + m.server_fetches, trace.size())
-          << sim::to_string(scheme) << " seed " << seed;
     }
   }
 }

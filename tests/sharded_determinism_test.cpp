@@ -4,10 +4,11 @@
 // streamed from a compiled .wct with a small replay chunk — and a sweep's
 // write_metrics_json must not depend on shards x threads. Unsupported
 // configurations (FC/FC-EC, snapshots, tracer, audit hooks, single proxy)
-// must fall back to the sequential engine bit-exactly. Also the regression
-// gate for the 256-cluster cooperation digests (ClusterBitset): sharded
-// cooperative runs must work above the old 64-proxy limit and stay
-// shard-count independent there.
+// must fall back to the sequential engine bit-exactly. Both engines run the
+// same scheme kernels, so at shard_epoch = 1 the sharded engine must
+// reproduce the sequential one (the cross-engine oracle below). Also the
+// regression gate for the multi-word residency table: cooperative runs must
+// work at any proxy count and stay shard-count independent there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,10 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "common/cluster_bitset.hpp"
 #include "core/experiment.hpp"
 #include "fault/churn_schedule.hpp"
 #include "obs/registry.hpp"
+#include "sim/residency_table.hpp"
 #include "sim/simulator.hpp"
 #include "workload/prowgen.hpp"
 #include "workload/wctrace.hpp"
@@ -197,43 +198,102 @@ TEST(ShardedDeterminism, SweepMetricsExportIsShardAndThreadCountIndependent) {
   }
 }
 
-// --- ClusterBitset: the 256-cluster cooperation digests ----------------------
+// --- Cross-engine oracle -----------------------------------------------------
 
-TEST(ClusterBitset, RingScanMatchesSingleWordSemanticsBelow64) {
+// Both engines run one set of scheme kernels and differ only in how a kernel
+// reaches another cluster. At shard_epoch = 1 every digest is refreshed after
+// every trace position, so the sharded engine reads exactly the residency the
+// sequential engine reads live: every counter must agree. Three known
+// divergences are outside this comparison:
+//   - float summation order: sharded lanes sum latencies per cluster and fold
+//     them in cluster order (the last digits of the sim.* latency gauges);
+//   - the loss stream, which is per cluster in the sharded engine (no loss
+//     here);
+//   - Bloom false positives on remote directories: the sharded push target
+//     comes from the exact directory digest (exact directory here), and the
+//     sequential engine's remote directory probes show up in
+//     cluster*.dir.lookups/positives, which are skipped.
+// NC and SC accumulate exactly representable latencies, so their full
+// exports must be byte-identical.
+TEST(ShardedDeterminism, EpochOneMatchesTheSequentialEngine) {
+  const auto trace = shard_trace();
+  const auto counters_of = [](const obs::Registry& reg) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& name : reg.counter_names()) {
+      const bool probe = name.ends_with(".dir.lookups") || name.ends_with(".dir.positives");
+      if (!probe) out.emplace_back(name, reg.counter_value(name));
+    }
+    return out;
+  };
+  for (const auto scheme : {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kNC_EC,
+                            sim::Scheme::kSC_EC, sim::Scheme::kHierGD, sim::Scheme::kSquirrel}) {
+    auto cfg = shard_config(scheme);
+    cfg.shard_epoch = 1;
+    cfg.directory = sim::DirectoryKind::kExact;
+    cfg.sim_shards = 0;
+    cfg.registry = std::make_shared<obs::Registry>();
+    const auto sequential = sim::run_simulation(cfg, trace);
+    const auto sequential_counters = counters_of(*cfg.registry);
+    std::ostringstream sequential_export;
+    cfg.registry->write_json(sequential_export, "cross_engine");
+    for (const unsigned shards : {1U, 3U}) {
+      cfg.sim_shards = shards;
+      cfg.registry = std::make_shared<obs::Registry>();
+      const auto sharded = sim::run_simulation(cfg, trace);
+      const std::string label =
+          std::string(sim::to_string(scheme)) + " shards=" + std::to_string(shards);
+      EXPECT_EQ(sequential.hits_local_proxy, sharded.hits_local_proxy) << label;
+      EXPECT_EQ(sequential.hits_local_p2p, sharded.hits_local_p2p) << label;
+      EXPECT_EQ(sequential.hits_remote_proxy, sharded.hits_remote_proxy) << label;
+      EXPECT_EQ(sequential.hits_remote_p2p, sharded.hits_remote_p2p) << label;
+      EXPECT_EQ(sequential.server_fetches, sharded.server_fetches) << label;
+      EXPECT_EQ(sequential_counters, counters_of(*cfg.registry)) << label;
+      if (scheme == sim::Scheme::kNC || scheme == sim::Scheme::kSC) {
+        std::ostringstream sharded_export;
+        cfg.registry->write_json(sharded_export, "cross_engine");
+        EXPECT_EQ(sequential_export.str(), sharded_export.str()) << label;
+      }
+    }
+  }
+}
+
+// --- ResidencyTable: the cooperation lookups at any proxy count ---------------
+
+TEST(ResidencyTable, RingScanMatchesSingleWordSemanticsBelow64) {
   // Ring order from local+1 upward with wraparound, never returning local —
   // the exact contract of the old 64-bit scan.
-  ClusterBitset mask;
-  mask.set(3);
-  mask.set(10);
-  EXPECT_EQ(first_holder_in_ring(mask, 5), 10);
-  EXPECT_EQ(first_holder_in_ring(mask, 10), 3);  // wraps past the top
-  EXPECT_EQ(first_holder_in_ring(mask, 3), 10);
-  mask.reset(10);
-  EXPECT_EQ(first_holder_in_ring(mask, 3), -1);  // only the local bit left
-  EXPECT_EQ(first_holder_in_ring(ClusterBitset{}, 0), -1);
+  sim::ResidencyTable table(1, 16);
+  table.assign(0, 3, true);
+  table.assign(0, 10, true);
+  EXPECT_EQ(table.first_in_ring(0, 5), 10);
+  EXPECT_EQ(table.first_in_ring(0, 10), 3);  // wraps past the top
+  EXPECT_EQ(table.first_in_ring(0, 3), 10);
+  table.assign(0, 10, false);
+  EXPECT_EQ(table.first_in_ring(0, 3), -1);  // only the local bit left
+  EXPECT_EQ(sim::ResidencyTable(1, 16).first_in_ring(0, 0), -1);
+  EXPECT_EQ(table.first_in_ring(1, 0), -1);  // beyond the universe
 }
 
-TEST(ClusterBitset, RingScanCrossesWordBoundaries) {
-  ClusterBitset mask;
-  mask.set(2);    // word 0
-  mask.set(70);   // word 1
-  mask.set(200);  // word 3
-  EXPECT_EQ(first_holder_in_ring(mask, 5), 70);    // higher word first
-  EXPECT_EQ(first_holder_in_ring(mask, 70), 200);  // next word up
-  EXPECT_EQ(first_holder_in_ring(mask, 200), 2);   // wraps to word 0
-  EXPECT_EQ(first_holder_in_ring(mask, 255), 2);
-  EXPECT_EQ(first_holder_in_ring(mask, 0), 2);     // later bit in own word
+TEST(ResidencyTable, RingScanCrossesWordBoundaries) {
+  sim::ResidencyTable table(1, 300);
+  table.assign(0, 2, true);    // word 0
+  table.assign(0, 70, true);   // word 1
+  table.assign(0, 200, true);  // word 3
+  EXPECT_EQ(table.first_in_ring(0, 5), 70);    // higher word first
+  EXPECT_EQ(table.first_in_ring(0, 70), 200);  // next word up
+  EXPECT_EQ(table.first_in_ring(0, 200), 2);   // wraps to word 0
+  EXPECT_EQ(table.first_in_ring(0, 299), 2);
+  EXPECT_EQ(table.first_in_ring(0, 0), 2);     // later bit in own word
+  table.assign(0, 290, true);  // word 4, past the old 256-cluster ceiling
+  EXPECT_EQ(table.first_in_ring(0, 200), 290);
 }
 
-TEST(ManyProxies, ShardingIsSupportedUpTo256Clusters) {
+TEST(ManyProxies, ShardingIsSupportedAtAnyProxyCount) {
   auto cfg = shard_config(sim::Scheme::kSC);
-  cfg.num_proxies = 72;  // above the old 64-bit digest limit
-  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
-  cfg.num_proxies = 256;
-  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
-  cfg.num_proxies = 257;  // beyond the fixed ClusterBitset width
-  EXPECT_FALSE(sim::Simulator::sharding_supported(cfg));
-
+  for (const unsigned proxies : {72U, 256U, 257U, 300U}) {
+    cfg.num_proxies = proxies;  // no digest-width ceiling
+    EXPECT_TRUE(sim::Simulator::sharding_supported(cfg)) << proxies;
+  }
   auto hier = shard_config(sim::Scheme::kHierGD);
   hier.num_proxies = 72;
   EXPECT_TRUE(sim::Simulator::sharding_supported(hier));
@@ -241,22 +301,25 @@ TEST(ManyProxies, ShardingIsSupportedUpTo256Clusters) {
 
 TEST(ManyProxies, CooperativeExportsAreShardCountIndependentAt72Proxies) {
   const auto trace = shard_trace();
-  auto cfg = shard_config(sim::Scheme::kSC);
-  cfg.num_proxies = 72;
-  cfg.proxy_capacity = 40;  // smaller per-proxy share over the same universe
-  cfg.sim_shards = 1;
-  const std::string one = export_of(cfg, trace);
-  for (const unsigned shards : {2U, 8U}) {
-    cfg.sim_shards = shards;
-    EXPECT_EQ(one, export_of(cfg, trace)) << "shards=" << shards;
+  for (const unsigned proxies : {72U, 300U}) {
+    auto cfg = shard_config(sim::Scheme::kSC);
+    cfg.num_proxies = proxies;
+    cfg.proxy_capacity = 40;  // smaller per-proxy share over the same universe
+    cfg.sim_shards = 1;
+    const std::string one = export_of(cfg, trace);
+    for (const unsigned shards : {2U, 8U}) {
+      if (proxies == 300U && shards == 2U) continue;  // shards 1 vs 8 above 256
+      cfg.sim_shards = shards;
+      EXPECT_EQ(one, export_of(cfg, trace)) << "proxies=" << proxies << " shards=" << shards;
+    }
+    // The sequential engine reads the same multi-word residency table; it
+    // must still serve every request.
+    cfg.sim_shards = 0;
+    cfg.registry = std::make_shared<obs::Registry>();
+    const auto metrics = sim::run_simulation(cfg, trace);
+    EXPECT_EQ(metrics.requests, trace.size()) << proxies;
+    EXPECT_EQ(metrics.total_hits() + metrics.server_fetches, metrics.requests) << proxies;
   }
-  // The sequential engine handles > 64 cooperating proxies via its fallback
-  // probe loops; it must still serve every request.
-  cfg.sim_shards = 0;
-  cfg.registry = std::make_shared<obs::Registry>();
-  const auto metrics = sim::run_simulation(cfg, trace);
-  EXPECT_EQ(metrics.requests, trace.size());
-  EXPECT_EQ(metrics.total_hits() + metrics.server_fetches, metrics.requests);
 }
 
 }  // namespace
