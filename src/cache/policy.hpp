@@ -2,8 +2,7 @@
 // scheme swap its proxy-tier or client-tier cache for one of the modern
 // policies (TinyLFU admission, W-TinyLFU, ARC) without new wiring per
 // combination. SimConfig carries two PolicyKind fields; the CLI parses them
-// from --proxy-policy/--client-policy and the WEBCACHE_POLICY environment
-// variable.
+// from --proxy-policy/--client-policy.
 #pragma once
 
 #include <memory>

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
-#include <iostream>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -30,33 +29,6 @@ unsigned sim_shards_from_env() {
     return 0U;
   }();
   return shards;
-}
-
-std::pair<cache::PolicyKind, cache::PolicyKind> policies_from_env() {
-  static const std::pair<cache::PolicyKind, cache::PolicyKind> kinds = [] {
-    std::pair<cache::PolicyKind, cache::PolicyKind> result{cache::PolicyKind::kDefault,
-                                                           cache::PolicyKind::kDefault};
-    const char* env = std::getenv("WEBCACHE_POLICY");
-    if (env == nullptr) return result;
-    const std::string value(env);
-    const auto comma = value.find(',');
-    const std::string proxy = value.substr(0, comma);
-    const std::string client =
-        comma == std::string::npos ? std::string() : value.substr(comma + 1);
-    const auto parse = [](const std::string& name, cache::PolicyKind& out) {
-      if (name.empty()) return;
-      if (const auto kind = cache::policy_from_string(name)) {
-        out = *kind;
-      } else {
-        std::cerr << "ignoring unknown policy '" << name << "' in WEBCACHE_POLICY (valid: "
-                  << cache::policy_names() << ")\n";
-      }
-    };
-    parse(proxy, result.first);
-    parse(client, result.second);
-    return result;
-  }();
-  return kinds;
 }
 
 ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
@@ -193,10 +165,9 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     c.registry = nullptr;
     c.snapshot_interval = config.collect_observability ? config.snapshot_interval : 0;
     c.trace_capacity = 0;  // the event tracer is a single-run tool
-    // Failure/churn/loss injection only applies to schemes with addressable
-    // client caches.
+    // Churn/loss injection only applies to schemes with addressable client
+    // caches.
     if (scheme != sim::Scheme::kHierGD && scheme != sim::Scheme::kSquirrel) {
-      c.client_failures.clear();
       c.churn_events.clear();
       c.p2p_loss_rate = 0.0;
     }
@@ -323,8 +294,7 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   r.metrics = sim::run_simulation(config, source);
   sim::SimConfig nc = config;
   nc.scheme = sim::Scheme::kNC;
-  // NC has no addressable client caches: no failures, churn, or P2P loss.
-  nc.client_failures.clear();
+  // NC has no addressable client caches: no churn or P2P loss.
   nc.churn_events.clear();
   nc.p2p_loss_rate = 0.0;
   nc.checkpoint_hook = {};  // audits target the scheme under test

@@ -27,13 +27,6 @@ namespace webcache::core {
 /// runs").
 [[nodiscard]] unsigned sim_shards_from_env();
 
-/// Default {proxy_policy, client_policy} overrides, from WEBCACHE_POLICY
-/// ("<proxy>[,<client>]", names per cache::policy_from_string; unparseable
-/// names warn to stderr and fall back to kDefault). The CLI seeds its
-/// configs from this, so one environment variable re-policies a whole
-/// scripted experiment without touching its flag lists.
-[[nodiscard]] std::pair<cache::PolicyKind, cache::PolicyKind> policies_from_env();
-
 /// The "infinite cache size" of one client cluster's request stream: the
 /// number of distinct objects requested more than once by the clients of a
 /// single proxy under round-robin request partitioning (paper Section 5.1).

@@ -1,6 +1,5 @@
 #include "fault/invariant_auditor.hpp"
 
-#ifndef WEBCACHE_NO_AUDIT
 #include <algorithm>
 #include <span>
 #include <stdexcept>
@@ -8,17 +7,8 @@
 
 #include "cache/greedy_dual.hpp"
 #include "sim/simulator.hpp"
-#endif
 
 namespace webcache::fault {
-
-#ifdef WEBCACHE_NO_AUDIT
-
-AuditReport audit(const sim::Simulator&, std::uint64_t) { return {}; }
-
-std::function<void(const sim::Simulator&, std::uint64_t)> make_audit_hook() { return {}; }
-
-#else
 
 namespace {
 
@@ -290,7 +280,5 @@ std::function<void(const sim::Simulator&, std::uint64_t)> make_audit_hook() {
     throw std::logic_error(message);
   };
 }
-
-#endif  // WEBCACHE_NO_AUDIT
 
 }  // namespace webcache::fault

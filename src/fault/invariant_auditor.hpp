@@ -12,9 +12,7 @@
 // exported metric — audited and unaudited runs of the same config produce
 // byte-identical JSON.
 //
-// Compiled out via -DWEBCACHE_AUDIT=OFF (mirroring WEBCACHE_OBS_TRACE):
-// audit() then returns an empty passing report and make_audit_hook() returns
-// a null hook, so Release builds pay nothing.
+// The auditor costs nothing unless a run installs its checkpoint hook.
 #pragma once
 
 #include <cstdint>
@@ -34,22 +32,12 @@ struct AuditReport {
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
-/// Whether this build carries the auditor (WEBCACHE_AUDIT=ON).
-[[nodiscard]] constexpr bool audits_enabled() {
-#ifdef WEBCACHE_NO_AUDIT
-  return false;
-#else
-  return true;
-#endif
-}
-
 /// Audits the simulator's full cross-layer state; `now` is the number of
 /// requests completed (what a checkpoint hook receives).
 [[nodiscard]] AuditReport audit(const sim::Simulator& sim, std::uint64_t now);
 
 /// A SimConfig::checkpoint_hook that runs audit() and throws
-/// std::logic_error listing every violation when the report fails. Null (a
-/// default-constructed function) when audits are compiled out.
+/// std::logic_error listing every violation when the report fails.
 [[nodiscard]] std::function<void(const sim::Simulator&, std::uint64_t)> make_audit_hook();
 
 }  // namespace webcache::fault

@@ -39,22 +39,4 @@ MessageStats MessageCounters::view() const {
   return stats;
 }
 
-void MessageCounters::reset() {
-  destage_piggybacked.reset();
-  destage_dedicated.reset();
-  destage_bytes.reset();
-  pastry_forward_messages.reset();
-  diversions.reset();
-  diversion_pointer_lookups.reset();
-  store_receipts.reset();
-  directory_adds.reset();
-  directory_removes.reset();
-  push_requests.reset();
-  push_transfers.reset();
-  directory_false_positives.reset();
-  directory_true_positives.reset();
-  p2p_messages_lost.reset();
-  p2p_retries.reset();
-}
-
 }  // namespace webcache::net

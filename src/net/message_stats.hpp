@@ -92,7 +92,6 @@ class MessageCounters {
   obs::Counter& p2p_retries;
 
   [[nodiscard]] MessageStats view() const;
-  void reset();
 };
 
 }  // namespace webcache::net

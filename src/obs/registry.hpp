@@ -24,10 +24,8 @@
 //     hit-ratio / latency / false-positive curves over simulated time;
 //   * a ring-buffer event tracer — fixed-capacity buffer of request-level
 //     records (time, where served, latency, wasted latency).
-// When the CMake option WEBCACHE_OBS_TRACE is OFF the macro
-// WEBCACHE_OBS_NO_TRACE compiles both layers down to nothing (verified by
-// perf_smoke staying inside the check_perf.py band); when compiled in but
-// not enabled at runtime, each costs a single predictable branch per request.
+// When not enabled at runtime, each costs a single predictable branch per
+// request.
 //
 // Exports (schema "webcache-metrics/1", documented in README.md):
 //   write_json       — full registry as one JSON document;
@@ -135,12 +133,6 @@ class Registry {
   [[nodiscard]] std::uint64_t snapshot_interval() const { return snapshot_interval_; }
   [[nodiscard]] const std::vector<Snapshot>& snapshots() const { return snapshots_; }
 
-#ifdef WEBCACHE_OBS_NO_TRACE
-  void tick() {}
-  static constexpr bool tracing_enabled() { return false; }
-  void enable_tracing(std::size_t) {}
-  void record(std::uint64_t, std::uint32_t, double, double) {}
-#else
   void tick() {
     ++ticks_;
     if (snapshot_interval_ != 0 && ticks_ % snapshot_interval_ == 0) take_snapshot();
@@ -160,7 +152,6 @@ class Registry {
     }
     ++trace_next_;
   }
-#endif
 
   /// Traced events in chronological order (unwinds the ring).
   [[nodiscard]] std::vector<TraceEvent> trace_events() const;

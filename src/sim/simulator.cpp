@@ -138,8 +138,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
 
   const bool addressable_clients =
       config_.scheme == Scheme::kHierGD || config_.scheme == Scheme::kSquirrel;
-  if ((!config_.client_failures.empty() || !config_.churn_events.empty()) &&
-      !addressable_clients) {
+  if (!config_.churn_events.empty() && !addressable_clients) {
     throw std::invalid_argument(
         "Simulator: client failures need individually addressable client caches "
         "(Hier-GD or Squirrel)");
@@ -148,15 +147,13 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     throw std::invalid_argument(
         "Simulator: P2P message loss needs a P2P tier (Hier-GD or Squirrel)");
   }
-  // Legacy one-shot failures become crash events on the same engine; the
-  // stable sort keeps the authored order among same-time events.
-  std::vector<fault::ChurnEvent> events;
-  events.reserve(config_.client_failures.size() + config_.churn_events.size());
-  for (const auto& f : config_.client_failures) {
-    events.push_back({f.time, f.proxy, f.client, fault::ChurnAction::kCrash});
+  for (const auto& event : config_.churn_events) {
+    if (event.proxy >= config_.num_proxies) {
+      throw std::invalid_argument("Simulator: churn event references unknown proxy");
+    }
   }
-  events.insert(events.end(), config_.churn_events.begin(), config_.churn_events.end());
-  fault::ChurnEngine schedule(std::move(events));
+  // The engine's stable sort keeps the authored order among same-time events.
+  fault::ChurnEngine schedule(config_.churn_events);
   // Private loss stream forked off the run seed: enabling loss perturbs no
   // other draw, and the run stays a pure function of its configuration.
   const std::uint64_t loss_seed = config_.seed ^ 0x4c4f5353ULL;
@@ -165,12 +162,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     // preserves same-cluster order) and per-(seed, cluster) loss substreams,
     // so each lane's draws depend only on its own event/transfer sequence.
     std::vector<std::vector<fault::ChurnEvent>> per_cluster(config_.num_proxies);
-    for (const auto& event : schedule.events()) {
-      if (event.proxy >= config_.num_proxies) {
-        throw std::invalid_argument("Simulator: failure event references unknown proxy");
-      }
-      per_cluster[event.proxy].push_back(event);
-    }
+    for (const auto& event : schedule.events()) per_cluster[event.proxy].push_back(event);
     for (unsigned c = 0; c < config_.num_proxies; ++c) {
       const std::uint64_t cluster_seed = loss_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1));
       lanes_[c].churn = fault::ChurnEngine(std::move(per_cluster[c]));
@@ -248,23 +240,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tier_tracker = std::make_unique<cache::LruCache>(config_.proxy_capacity);
         break;
       case Scheme::kHierGD: {
-        // proxy_policy (when set) supersedes the legacy hier_proxy_policy
-        // ablation enum; both default to the paper's greedy-dual.
         proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
                                      config_.lfu_mode);
         if (proxy.gd == nullptr) {
-          switch (config_.hier_proxy_policy) {
-            case HierProxyPolicy::kGreedyDual:
-              proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
-              break;
-            case HierProxyPolicy::kLru:
-              proxy.gd = std::make_unique<cache::LruCache>(config_.proxy_capacity);
-              break;
-            case HierProxyPolicy::kLfu:
-              proxy.gd = std::make_unique<cache::LfuCache>(config_.proxy_capacity,
-                                                           config_.lfu_mode);
-              break;
-          }
+          proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
         }
         p2p::P2PConfig pc;
         pc.clients = config_.clients_per_cluster;
@@ -474,9 +453,8 @@ void Simulator::account_raw(Lane& lane, std::uint64_t t, ServedFrom where, doubl
   inst.p2p_hop_latency_total.add(hop_latency);
   inst.latency_hist.add(latency);
   // Optional layers: the tracer records the request-level event, tick()
-  // advances the snapshot clock. Both compile to nothing under
-  // WEBCACHE_OBS_NO_TRACE and cost one predictable branch otherwise (a
-  // sharded run never enables them on its cluster registries).
+  // advances the snapshot clock. Each costs one predictable branch when off
+  // (a sharded run never enables them on its cluster registries).
   lane.registry.record(t, static_cast<std::uint32_t>(where), latency, wasted_latency);
   lane.registry.tick();
 }
@@ -486,9 +464,6 @@ void Simulator::advance_churn(unsigned cluster, std::uint64_t now) {
 }
 
 void Simulator::apply_churn(const fault::ChurnEvent& event) {
-  if (event.proxy >= proxies_.size()) {
-    throw std::invalid_argument("Simulator: failure event references unknown proxy");
-  }
   Proxy& proxy = proxies_[event.proxy];
   Instruments& inst = lane_of(event.proxy).inst;
   switch (event.action) {

@@ -70,22 +70,6 @@ class Simulator;
 
 enum class DirectoryKind { kExact, kBloom };
 
-/// A scheduled client-machine crash (fault-injection): at trace time `time`,
-/// client `client` of proxy `proxy` fails. Under Hier-GD its share of the
-/// P2P client cache is lost and the proxy's directory goes stale until the
-/// failed lookups correct it; under the idealized schemes client storage is
-/// pooled, so failures there only shrink capacity when modelled explicitly.
-struct ClientFailure {
-  std::uint64_t time = 0;
-  unsigned proxy = 0;
-  ClientNum client = 0;
-};
-
-/// Replacement policy at Hier-GD's proxy tier. Greedy-dual is the paper's
-/// algorithm; LRU/LFU exist for the policy ablation (the client-cache tier
-/// always runs greedy-dual).
-enum class HierProxyPolicy { kGreedyDual, kLru, kLfu };
-
 struct SimConfig {
   Scheme scheme = Scheme::kNC;
   unsigned num_proxies = 2;
@@ -114,14 +98,11 @@ struct SimConfig {
   /// assumption 3); setting this > 0 instead charges the measured hops,
   /// which makes the client-cluster-size experiments latency-honest.
   double p2p_hop_latency = 0.0;
-  /// Hier-GD proxy-tier policy (ablation; the paper uses greedy-dual).
-  /// Superseded by `proxy_policy` when that is not kDefault.
-  HierProxyPolicy hier_proxy_policy = HierProxyPolicy::kGreedyDual;
-  /// Proxy-tier replacement/admission policy override (CLI --proxy-policy,
-  /// env WEBCACHE_POLICY). kDefault keeps each scheme's paper policy: LFU at
-  /// NC/SC and the *-EC tier 1, greedy-dual (per hier_proxy_policy) at
-  /// Hier-GD. FC/FC-EC reject any override — the clairvoyant cost-benefit
-  /// coordinator IS those schemes (std::invalid_argument).
+  /// Proxy-tier replacement/admission policy override (CLI --proxy-policy).
+  /// kDefault keeps each scheme's paper policy: LFU at NC/SC and the *-EC
+  /// tier 1, greedy-dual at Hier-GD; the policy ablation sets kGreedyDual,
+  /// kLru or kLfu here. FC/FC-EC reject any override — the clairvoyant
+  /// cost-benefit coordinator IS those schemes (std::invalid_argument).
   cache::PolicyKind proxy_policy = cache::PolicyKind::kDefault;
   /// Client-tier policy override (CLI --client-policy): tier 2 of
   /// NC-EC/SC-EC (default LFU) and the per-client cooperative caches of
@@ -133,15 +114,13 @@ struct SimConfig {
   /// interpreted as the post-browser-cache request stream, which is the
   /// paper's evaluation setup.
   std::size_t browser_cache_capacity = 0;
-  /// Scheduled client crashes, applied in trace order (Hier-GD only; the
-  /// other schemes have no individually addressable client caches).
-  /// Superseded by `churn_events` (a crash-only schedule); both feed the
-  /// same ChurnEngine and may be combined.
-  std::vector<ClientFailure> client_failures{};
-  /// Full churn schedule (crashes, delayed rejoins, fresh joins, periodic
-  /// repair passes), executed by the fault::ChurnEngine at the scheduled
-  /// trace positions. Like client_failures, requires individually
-  /// addressable client caches (Hier-GD or Squirrel).
+  /// Churn schedule (crashes, delayed rejoins, fresh joins, periodic repair
+  /// passes), executed by the fault::ChurnEngine at the scheduled trace
+  /// positions. A crash loses the client's share of the P2P cache without
+  /// telling the proxy's directory, which learns of it through failed
+  /// lookups. Requires individually addressable client caches (Hier-GD or
+  /// Squirrel); every event must name a proxy below num_proxies, checked at
+  /// construction (std::invalid_argument).
   std::vector<fault::ChurnEvent> churn_events{};
   /// Probability in [0, 1) that any single P2P transfer (lookup, destage,
   /// push) is lost and must be retried after a timeout — each loss costs the
@@ -176,11 +155,10 @@ struct SimConfig {
   /// Simulator::registry() — so metrics are always collected; supplying a
   /// registry lets callers keep it after the Simulator is gone.
   std::shared_ptr<obs::Registry> registry{};
-  /// Capture a counter/gauge snapshot every N requests (0 = off). Ignored
-  /// when the build disables the tracer layer (WEBCACHE_OBS_TRACE=OFF).
+  /// Capture a counter/gauge snapshot every N requests (0 = off).
   std::uint64_t snapshot_interval = 0;
-  /// Ring capacity of the request-level event tracer (0 = off; ignored when
-  /// WEBCACHE_OBS_TRACE=OFF). Each served request records a TraceEvent
+  /// Ring capacity of the request-level event tracer (0 = off). Each served
+  /// request records a TraceEvent
   /// {request index, ServedFrom code, latency, wasted latency}.
   std::size_t trace_capacity = 0;
   /// Replay chunk budget: how many requests run() pulls per TraceSource
@@ -278,7 +256,7 @@ class Simulator {
     // FC-EC
     std::unique_ptr<cache::CostBenefitCache> unified;
     std::unique_ptr<cache::LruCache> tier_tracker;
-    // Hier-GD (greedy-dual by default; see HierProxyPolicy)
+    // Hier-GD (greedy-dual unless SimConfig::proxy_policy overrides it)
     std::unique_ptr<cache::Cache> gd;
     std::unique_ptr<p2p::P2PClientCache> p2p;
     std::unique_ptr<directory::LookupDirectory> dir;

@@ -183,7 +183,6 @@ TEST(LossModel, IsDeterministicBoundedAndValidated) {
 // addressable schemes (Hier-GD, Squirrel) are additionally audited while a
 // heavy churn schedule and P2P message loss are active.
 TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace();
   std::vector<sim::Scheme> schemes(sim::kAllSchemes.begin(), sim::kAllSchemes.end());
   schemes.push_back(sim::Scheme::kSquirrel);
@@ -218,7 +217,6 @@ TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
 }
 
 TEST(InvariantAudit, PassesUnderChurnForBothDirectoryKinds) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace();
   for (const auto kind : {sim::DirectoryKind::kExact, sim::DirectoryKind::kBloom}) {
     for (const std::uint64_t seed : {2003ull, 7919ull}) {
@@ -237,7 +235,6 @@ TEST(InvariantAudit, PassesUnderChurnForBothDirectoryKinds) {
 }
 
 TEST(InvariantAudit, ReportsRealCheckCoverage) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace(10'000, 1'000);
   auto cfg = base_config(sim::Scheme::kHierGD);
   sim::Simulator sim(cfg, trace);
@@ -345,12 +342,19 @@ TEST(ChurnConfig, RejectsSchemesWithoutAddressableClients) {
   EXPECT_THROW(sim::Simulator(cfg, trace), std::invalid_argument);
 }
 
-TEST(ChurnConfig, UnknownProxyInScheduleRejectedAtDispatch) {
+// Both engines validate the whole schedule up front, including an event
+// scheduled after the last request (which would otherwise never fire).
+TEST(ChurnConfig, UnknownProxyInScheduleRejectedAtConstruction) {
   const auto trace = churn_trace(5'000, 500);
-  auto cfg = base_config(sim::Scheme::kHierGD);
-  cfg.churn_events = {{10, 99, 0, fault::ChurnAction::kCrash}};
-  sim::Simulator sim(cfg, trace);
-  EXPECT_THROW((void)sim.run(), std::invalid_argument);
+  for (const std::uint64_t at : {std::uint64_t{10}, std::uint64_t{trace.size() + 100}}) {
+    for (const unsigned shards : {0u, 2u}) {
+      auto cfg = base_config(sim::Scheme::kHierGD);
+      cfg.sim_shards = shards;
+      cfg.churn_events = {{at, 99, 0, fault::ChurnAction::kCrash}};
+      EXPECT_THROW(sim::Simulator(cfg, trace), std::invalid_argument)
+          << "at " << at << ", shards " << shards;
+    }
+  }
 }
 
 // --- determinism ------------------------------------------------------------
@@ -387,7 +391,6 @@ TEST(ChurnDeterminism, SweepJsonIsByteIdenticalAcrossThreadCountsUnderChurn) {
 // Auditing is read-only: a run with checkpoint audits must export the same
 // counters as the identical run without them.
 TEST(ChurnDeterminism, AuditHooksDoNotPerturbExportedMetrics) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace(20'000, 2'000);
   const auto run_with = [&](bool audited) {
     auto cfg = base_config(sim::Scheme::kHierGD);

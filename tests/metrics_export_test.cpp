@@ -80,8 +80,6 @@ TEST(MetricsExport, SingleRunJsonCarriesTheDocumentedFields) {
   EXPECT_NE(json.find("proxy0.cache."), std::string::npos);
 }
 
-#ifndef WEBCACHE_OBS_NO_TRACE
-
 TEST(MetricsExport, SnapshotsLandExactlyEveryInterval) {
   const auto trace = small_trace();
   auto cfg = small_config(sim::Scheme::kSC);
@@ -120,8 +118,6 @@ TEST(MetricsExport, TracerRecordsOneEventPerRequest) {
     EXPECT_GE(e.value, 0.0);
   }
 }
-
-#endif  // WEBCACHE_OBS_NO_TRACE
 
 TEST(MetricsExport, SweepJsonIsByteIdenticalAcrossThreadCounts) {
   const auto trace = small_trace();

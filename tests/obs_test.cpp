@@ -133,8 +133,6 @@ TEST(ObsRegistry, CsvExportListsEveryInstrument) {
   EXPECT_NE(csv.find("histogram,h.bucket0,1"), std::string::npos);
 }
 
-#ifndef WEBCACHE_OBS_NO_TRACE
-
 TEST(ObsSnapshots, TakenExactlyEveryInterval) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("c");
@@ -213,7 +211,5 @@ TEST(ObsTracer, CsvIsChronologicalWithSequenceNumbers) {
   EXPECT_NE(csv.find("0,0,5,1.5,0"), std::string::npos);
   EXPECT_NE(csv.find("1,1,0,2,0.25"), std::string::npos);
 }
-
-#endif  // WEBCACHE_OBS_NO_TRACE
 
 }  // namespace

@@ -88,31 +88,34 @@ TEST(BrowserCache, LatencyIdentityIncludesZeroCostBrowserHits) {
 
 // --- client failures --------------------------------------------------------
 
-std::vector<ClientFailure> spread_failures(std::uint64_t trace_len, unsigned proxies,
-                                           ClientNum clients, unsigned count) {
-  std::vector<ClientFailure> failures;
+/// A crash-only churn schedule: `count` client crashes spread over the middle
+/// half of the trace, round-robin across the proxies.
+std::vector<fault::ChurnEvent> spread_crashes(std::uint64_t trace_len, unsigned proxies,
+                                              ClientNum clients, unsigned count) {
+  std::vector<fault::ChurnEvent> crashes;
   for (unsigned i = 0; i < count; ++i) {
-    failures.push_back(ClientFailure{
+    crashes.push_back(fault::ChurnEvent{
         trace_len / 4 + i * (trace_len / (2 * count)),
         i % proxies,
         static_cast<ClientNum>((i * 7) % clients),
+        fault::ChurnAction::kCrash,
     });
   }
-  return failures;
+  return crashes;
 }
 
 TEST(FailureInjection, OnlyValidForHierGd) {
   const auto trace = test_trace(5'000, 500);
   auto cfg = base_config(Scheme::kSC);
-  cfg.client_failures = {{100, 0, 1}};
+  cfg.churn_events = {{100, 0, 1, fault::ChurnAction::kCrash}};
   EXPECT_THROW(Simulator(cfg, trace), std::invalid_argument);
 }
 
 TEST(FailureInjection, RunsToCompletionAndStaysConsistent) {
   const auto trace = test_trace();
   auto cfg = base_config(Scheme::kHierGD);
-  cfg.client_failures =
-      spread_failures(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 10);
+  cfg.churn_events =
+      spread_crashes(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 10);
   const auto m = run_simulation(cfg, trace);
   EXPECT_EQ(m.requests, trace.size());
   EXPECT_EQ(m.total_hits() + m.server_fetches, trace.size());
@@ -123,8 +126,8 @@ TEST(FailureInjection, StaleDirectoryEntriesSurfaceAsFalsePositives) {
   auto cfg = base_config(Scheme::kHierGD);
   // Fail a third of each cluster halfway through: directory entries for the
   // lost objects go stale and are discovered (and repaired) on lookup.
-  cfg.client_failures =
-      spread_failures(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 16);
+  cfg.churn_events =
+      spread_crashes(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 16);
   const auto m = run_simulation(cfg, trace);
   EXPECT_GT(m.messages.directory_false_positives, 0u);
   EXPECT_GT(m.wasted_p2p_latency, 0.0);
@@ -136,8 +139,8 @@ TEST(FailureInjection, DegradesGracefully) {
   const auto m_healthy = run_simulation(healthy, trace);
 
   auto faulty = base_config(Scheme::kHierGD);
-  faulty.client_failures =
-      spread_failures(trace.size(), faulty.num_proxies, faulty.clients_per_cluster, 10);
+  faulty.churn_events =
+      spread_crashes(trace.size(), faulty.num_proxies, faulty.clients_per_cluster, 10);
   const auto m_faulty = run_simulation(faulty, trace);
 
   // Losing 20% of each cluster's client caches mid-run hurts, but the
@@ -145,14 +148,6 @@ TEST(FailureInjection, DegradesGracefully) {
   EXPECT_GE(m_faulty.mean_latency(), m_healthy.mean_latency());
   const auto sc = run_simulation(base_config(Scheme::kSC), trace);
   EXPECT_LT(m_faulty.mean_latency(), sc.mean_latency());
-}
-
-TEST(FailureInjection, UnknownProxyRejected) {
-  const auto trace = test_trace(5'000, 500);
-  auto cfg = base_config(Scheme::kHierGD);
-  cfg.client_failures = {{10, 99, 0}};
-  Simulator sim(cfg, trace);
-  EXPECT_THROW((void)sim.run(), std::invalid_argument);
 }
 
 }  // namespace

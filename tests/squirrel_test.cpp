@@ -118,7 +118,7 @@ TEST(Squirrel, SupportsFailureInjection) {
   const auto trace = test_trace();
   auto cfg = squirrel_config();
   for (ClientNum c = 0; c < 20; ++c) {
-    cfg.client_failures.push_back(ClientFailure{trace.size() / 2, 0, c});
+    cfg.churn_events.push_back({trace.size() / 2, 0, c, fault::ChurnAction::kCrash});
   }
   const auto m = run_simulation(cfg, trace);
   EXPECT_EQ(m.requests, trace.size());

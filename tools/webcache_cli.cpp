@@ -61,7 +61,6 @@
 //                           lost transfer costs one retry (an extra Tp2p)
 //   --audit-interval N      run the cross-layer invariant auditor every N
 //                           requests; any violation exits non-zero
-//                           (needs a WEBCACHE_AUDIT=ON build)
 //
 // Environment:
 //   WEBCACHE_THREADS     worker threads for sweep (default 0 = one per core;
@@ -69,18 +68,23 @@
 //   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
 //                        simulation (0 = sequential engine; any value >= 1
 //                        yields byte-identical results).
-//   WEBCACHE_POLICY      default for --proxy-policy/--client-policy as
-//                        "<proxy>[,<client>]" (e.g. "w-tinylfu" or
-//                        "arc,lru"); flags win over the environment.
+//
+// Numeric flags must be a whole token: integers in the range of their
+// setting (no sign, fraction or exponent), reals finite, percentages > 0.
 //
 // Exit code 0 on success, 2 on usage errors.
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -124,6 +128,20 @@ using namespace webcache;
   std::exit(2);
 }
 
+/// Parses the whole of `token` as a T: an integer that fits T, or a finite
+/// real. std::nullopt for anything else, including trailing characters.
+template <typename T>
+std::optional<T> parse_number(std::string_view token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
 /// Minimal flag parser: --key value pairs plus boolean --key switches.
 class Flags {
  public:
@@ -150,15 +168,32 @@ class Flags {
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      usage("flag --" + key + " needs a number, got '" + it->second + "'");
-    }
+    const auto value = parse_number<double>(it->second);
+    if (!value) usage("flag --" + key + " needs a finite number, got '" + it->second + "'");
+    return *value;
   }
 
-  [[nodiscard]] std::uint64_t integer(const std::string& key, std::uint64_t fallback) const {
-    return static_cast<std::uint64_t>(num(key, static_cast<double>(fallback)));
+  /// A cache-size percentage: a finite number above zero.
+  [[nodiscard]] double percent(const std::string& key, double fallback) const {
+    const double value = num(key, fallback);
+    if (!(value > 0.0)) {
+      usage("flag --" + key + " needs a positive percentage, got '" + str(key, "") + "'");
+    }
+    return value;
+  }
+
+  /// An integer setting of type T; values outside T's range are rejected.
+  template <typename T>
+  [[nodiscard]] T integer(const std::string& key, std::type_identity_t<T> fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const auto value = parse_number<T>(it->second);
+    if (!value) {
+      usage("flag --" + key + " needs an integer in [" +
+            std::to_string(std::numeric_limits<T>::min()) + ", " +
+            std::to_string(std::numeric_limits<T>::max()) + "], got '" + it->second + "'");
+    }
+    return *value;
   }
 
   void reject_unknown(const std::vector<std::string>& known) const {
@@ -189,15 +224,15 @@ const std::vector<std::string> kChurnFlags = {
 
 workload::ProWGenConfig workload_from(const Flags& flags) {
   workload::ProWGenConfig cfg;
-  cfg.total_requests = flags.integer("requests", 200'000);
-  cfg.distinct_objects = static_cast<ObjectNum>(flags.integer("objects", 10'000));
+  cfg.total_requests = flags.integer<std::uint64_t>("requests", 200'000);
+  cfg.distinct_objects = flags.integer<ObjectNum>("objects", 10'000);
   cfg.zipf_alpha = flags.num("alpha", cfg.zipf_alpha);
   cfg.one_timer_fraction = flags.num("one-timers", cfg.one_timer_fraction);
   cfg.lru_stack_fraction = flags.num("stack", cfg.lru_stack_fraction);
   cfg.temporal_amplifier = flags.num("amplifier", cfg.temporal_amplifier);
   cfg.recency_bias = flags.num("recency-bias", cfg.recency_bias);
-  cfg.clients = static_cast<ClientNum>(flags.integer("clients", cfg.clients));
-  cfg.seed = flags.integer("seed", cfg.seed);
+  cfg.clients = flags.integer<ClientNum>("clients", cfg.clients);
+  cfg.seed = flags.integer<std::uint64_t>("seed", cfg.seed);
   return cfg;
 }
 
@@ -229,14 +264,14 @@ std::shared_ptr<const workload::TraceSource> source_from(const Flags& flags) {
 
 sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& trace) {
   sim::SimConfig cfg;
-  cfg.num_proxies = static_cast<unsigned>(flags.integer("proxies", 2));
-  cfg.clients_per_cluster = static_cast<ClientNum>(flags.integer("clients", 100));
+  cfg.num_proxies = flags.integer<unsigned>("proxies", 2);
+  cfg.clients_per_cluster = flags.integer<ClientNum>("clients", 100);
   cfg.latencies = net::LatencyModel::from_ratios(
       flags.num("ts-tc", 10.0), flags.num("ts-tl", 20.0), flags.num("tp2p-tl", 1.4));
 
   const auto infinite = core::cluster_infinite_cache_size(trace, cfg.num_proxies);
-  const double cache_pct = flags.num("cache-pct", 30.0);
-  const double client_pct = flags.num("client-cache-pct", 0.1);
+  const double cache_pct = flags.percent("cache-pct", 30.0);
+  const double client_pct = flags.percent("client-cache-pct", 0.1);
   cfg.proxy_capacity = std::max<std::size_t>(
       1, static_cast<std::size_t>(cache_pct / 100.0 * static_cast<double>(infinite)));
   cfg.client_cache_capacity = std::max<std::size_t>(
@@ -250,21 +285,19 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   }
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
-  cfg.browser_cache_capacity = flags.integer("browser-cache", 0);
-  cfg.sim_shards =
-      static_cast<unsigned>(flags.integer("shards", core::sim_shards_from_env()));
+  cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
+  cfg.sim_shards = flags.integer<unsigned>("shards", core::sim_shards_from_env());
 
-  // Policy overrides: flags beat WEBCACHE_POLICY beats each scheme's default.
-  const auto env_policies = core::policies_from_env();
-  const auto parse_policy = [&flags](const std::string& flag, cache::PolicyKind fallback) {
+  // Policy overrides; unset keeps each scheme's paper policy.
+  const auto parse_policy = [&flags](const std::string& flag) {
     const auto name = flags.str(flag, "");
-    if (name.empty()) return fallback;
+    if (name.empty()) return cache::PolicyKind::kDefault;
     const auto kind = cache::policy_from_string(name);
     if (!kind) usage("--" + flag + " must be one of: " + cache::policy_names());
     return *kind;
   };
-  cfg.proxy_policy = parse_policy("proxy-policy", env_policies.first);
-  cfg.client_policy = parse_policy("client-policy", env_policies.second);
+  cfg.proxy_policy = parse_policy("proxy-policy");
+  cfg.client_policy = parse_policy("client-policy");
   return cfg;
 }
 
@@ -388,22 +421,19 @@ int cmd_analyze(const Flags& flags) {
 void apply_churn_flags(const Flags& flags, sim::SimConfig& cfg,
                        std::uint64_t trace_length) {
   fault::ChurnSpec spec;
-  spec.crashes = static_cast<ClientNum>(flags.integer("churn-crashes", 0));
-  spec.recover_after = flags.integer("churn-recover-after", 0);
-  spec.joins = static_cast<ClientNum>(flags.integer("churn-joins", 0));
-  spec.repair_every = flags.integer("churn-repair-every", 0);
-  spec.start = flags.integer("churn-start", trace_length / 4);
-  spec.seed = flags.integer("churn-seed", spec.seed);
+  spec.crashes = flags.integer<ClientNum>("churn-crashes", 0);
+  spec.recover_after = flags.integer<std::uint64_t>("churn-recover-after", 0);
+  spec.joins = flags.integer<ClientNum>("churn-joins", 0);
+  spec.repair_every = flags.integer<std::uint64_t>("churn-repair-every", 0);
+  spec.start = flags.integer<std::uint64_t>("churn-start", trace_length / 4);
+  spec.seed = flags.integer<std::uint64_t>("churn-seed", spec.seed);
   if (spec.crashes > 0 || spec.joins > 0 || spec.repair_every > 0) {
     cfg.churn_events = fault::make_schedule(spec, trace_length, cfg.num_proxies,
                                             cfg.clients_per_cluster);
   }
   cfg.p2p_loss_rate = flags.num("churn-loss", 0.0);
   if (flags.has("audit-interval")) {
-    if (!fault::audits_enabled()) {
-      usage("--audit-interval needs a WEBCACHE_AUDIT=ON build");
-    }
-    cfg.checkpoint_interval = flags.integer("audit-interval", 0);
+    cfg.checkpoint_interval = flags.integer<std::uint64_t>("audit-interval", 0);
     cfg.checkpoint_hook = fault::make_audit_hook();
   }
 }
@@ -422,10 +452,10 @@ int cmd_simulate(const Flags& flags) {
   const auto source = source_from(flags);
   auto cfg = cluster_from(flags, *source);
   cfg.scheme = *scheme;
-  cfg.snapshot_interval = flags.integer("snapshot-interval", 0);
+  cfg.snapshot_interval = flags.integer<std::uint64_t>("snapshot-interval", 0);
   apply_churn_flags(flags, cfg, source->size());
   if (flags.has("trace-out")) {
-    cfg.trace_capacity = flags.integer("trace-capacity", 1'000'000);
+    cfg.trace_capacity = flags.integer<std::size_t>("trace-capacity", 1'000'000);
   }
   const auto run = core::run_single(*source, cfg);
   std::cout << "scheme: " << sim::to_string(*scheme) << "\n"
@@ -467,9 +497,9 @@ int cmd_sweep(const Flags& flags) {
 
   core::SweepConfig sweep;
   sweep.base = cluster_from(flags, *source);
-  sweep.client_cache_percent = flags.num("client-cache-pct", 0.1);
+  sweep.client_cache_percent = flags.percent("client-cache-pct", 0.1);
   sweep.collect_observability = flags.has("metrics-out");
-  sweep.snapshot_interval = flags.integer("snapshot-interval", 0);
+  sweep.snapshot_interval = flags.integer<std::uint64_t>("snapshot-interval", 0);
   if (const char* env = std::getenv("WEBCACHE_THREADS")) {
     char* end = nullptr;
     const unsigned long t = std::strtoul(env, &end, 10);
@@ -496,11 +526,9 @@ int cmd_sweep(const Flags& flags) {
     std::istringstream list(flags.str("cache-pcts", ""));
     std::string token;
     while (std::getline(list, token, ',')) {
-      try {
-        sweep.cache_percents.push_back(std::stod(token));
-      } catch (const std::exception&) {
-        usage("bad --cache-pcts entry: " + token);
-      }
+      const auto pct = parse_number<double>(token);
+      if (!pct || !(*pct > 0.0)) usage("bad --cache-pcts entry: " + token);
+      sweep.cache_percents.push_back(*pct);
     }
   }
 
