@@ -18,8 +18,6 @@
 //                         "Sharded runs"). Composes with WEBCACHE_THREADS:
 //                         threads parallelize across sweep runs, shards
 //                         within each run.
-//   WEBCACHE_BENCH_JSON_DIR  directory for BENCH_<name>.json reports
-//                         (default: current directory).
 //   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
 //                         bench's sweeps (same as passing --metrics-out).
 //   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
@@ -40,7 +38,6 @@
 #include <iostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/experiment.hpp"
 #include "workload/prowgen.hpp"
@@ -78,8 +75,7 @@ inline unsigned bench_sim_shards() { return core::sim_shards_from_env(); }
 /// requests over 10,000 distinct objects, 50% one-timers, alpha = 0.7.
 inline workload::ProWGenConfig paper_workload() {
   workload::ProWGenConfig cfg;
-  cfg.total_requests =
-      static_cast<std::uint64_t>(1'000'000.0 * bench_scale());
+  cfg.total_requests = static_cast<std::uint64_t>(1'000'000.0 * bench_scale());
   cfg.distinct_objects = 10'000;
   cfg.one_timer_fraction = 0.5;
   cfg.zipf_alpha = 0.7;
@@ -108,84 +104,6 @@ inline std::shared_ptr<const workload::TraceSource> bench_source(
     const workload::ProWGenConfig& cfg) {
   return bench_source([&cfg] { return workload::ProWGen(cfg).generate(); });
 }
-
-/// Collects per-section wall clock and per-scheme throughput for one bench
-/// run and writes them as BENCH_<name>.json — the machine-readable side of
-/// the perf-regression harness (scripts/check_perf.py compares such a report
-/// against a committed baseline). Format:
-///   {"name": "...", "sections": {"label": seconds, ...},
-///    "requests_per_sec": {"scheme": rps, ...}}
-class BenchReport {
- public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-  void add_section(const std::string& label, double seconds) {
-    sections_.emplace_back(label, seconds);
-  }
-  void add_throughput(const std::string& scheme, double requests_per_sec) {
-    throughput_.emplace_back(scheme, requests_per_sec);
-  }
-  /// Records a hard perf gate: check_perf.py fails the run (exit 1) when an
-  /// ENFORCED gate's value is below its minimum. `enforced` lets a bench
-  /// disarm a gate on hardware that cannot meaningfully measure it (e.g. a
-  /// parallel-speedup gate on a machine with fewer cores than shards) while
-  /// still reporting the measured value.
-  void add_gate(const std::string& name, double value, double min, bool enforced) {
-    gates_.push_back({name, value, min, enforced});
-  }
-
-  /// Writes BENCH_<name>.json into WEBCACHE_BENCH_JSON_DIR (default: cwd).
-  /// Returns the path written, or an empty string on I/O failure.
-  std::string write_json() const {
-    std::string dir = ".";
-    if (const char* env = std::getenv("WEBCACHE_BENCH_JSON_DIR")) dir = env;
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return {};
-    }
-    out << "{\n  \"name\": \"" << name_ << "\",\n";
-    out << "  \"sections\": {";
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << sections_[i].first
-          << "\": " << sections_[i].second;
-    }
-    out << "},\n  \"requests_per_sec\": {";
-    for (std::size_t i = 0; i < throughput_.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << throughput_[i].first
-          << "\": " << throughput_[i].second;
-    }
-    out << "}";
-    // The gates object is emitted only when a gate was recorded, so reports
-    // of benches without gates keep their historical shape.
-    if (!gates_.empty()) {
-      out << ",\n  \"gates\": {";
-      for (std::size_t i = 0; i < gates_.size(); ++i) {
-        const Gate& g = gates_[i];
-        out << (i ? ", " : "") << "\"" << g.name << "\": {\"value\": " << g.value
-            << ", \"min\": " << g.min
-            << ", \"enforced\": " << (g.enforced ? "true" : "false") << "}";
-      }
-      out << "}";
-    }
-    out << "\n}\n";
-    return out ? path : std::string{};
-  }
-
- private:
-  struct Gate {
-    std::string name;
-    double value = 0.0;
-    double min = 0.0;
-    bool enforced = false;
-  };
-
-  std::string name_;
-  std::vector<std::pair<std::string, double>> sections_;
-  std::vector<std::pair<std::string, double>> throughput_;
-  std::vector<Gate> gates_;
-};
 
 /// Observability plumbing shared by the sweep benches: parses
 /// `--metrics-out FILE` and `--snapshot-interval N` from argv (with
@@ -263,24 +181,18 @@ class ObsOptions {
   std::uint64_t snapshot_interval_ = 0;
 };
 
-/// Timer helper: prints elapsed seconds after each bench section, and
-/// (when given a report) records the section into the BENCH_*.json output.
+/// Timer helper: prints elapsed seconds after each bench section.
 class SectionTimer {
  public:
-  explicit SectionTimer(std::string label, BenchReport* report = nullptr)
-      : label_(std::move(label)),
-        report_(report),
-        start_(std::chrono::steady_clock::now()) {}
+  explicit SectionTimer(std::string label)
+      : label_(std::move(label)), start_(std::chrono::steady_clock::now()) {}
   ~SectionTimer() {
-    const auto dt = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start_);
-    if (report_ != nullptr) report_->add_section(label_, dt.count());
+    const auto dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_);
     std::cout << "# [" << label_ << " took " << dt.count() << " s]\n\n";
   }
 
  private:
   std::string label_;
-  BenchReport* report_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -30,15 +30,12 @@ fi
 
 found=0
 for b in "$BUILD_DIR"/bench/*; do
-  case "$b" in
-    *micro_components) continue ;;  # google-benchmark micro suite, run separately
-  esac
   [ -x "$b" ] && [ -f "$b" ] || continue
   found=$((found + 1))
   echo "===== $b ====="
   if [ -n "${WEBCACHE_METRICS_OUT_DIR:-}" ]; then
     mkdir -p "$WEBCACHE_METRICS_OUT_DIR"
-    # Benches without an export path (the ablations, perf_smoke) ignore it.
+    # Benches without an export path (the ablations) ignore it.
     WEBCACHE_THREADS="${WEBCACHE_THREADS:-0}" WEBCACHE_SIM_SHARDS="${WEBCACHE_SIM_SHARDS:-0}" "$b" \
       --metrics-out "$WEBCACHE_METRICS_OUT_DIR/$(basename "$b").metrics.json"
   else

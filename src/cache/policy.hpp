@@ -40,10 +40,12 @@ enum class PolicyKind {
 /// and --help text.
 [[nodiscard]] std::string policy_names();
 
-/// Constructs the selected policy at `capacity`. kDefault returns nullptr —
-/// the caller supplies its scheme's own default. `lfu_mode` only affects
+/// Constructs the selected policy at `capacity`. kDefault builds
+/// `paper_policy`, the owning scheme's own policy (kLfu or kGreedyDual);
+/// std::invalid_argument when that is kDefault too. `lfu_mode` only affects
 /// kLfu.
-[[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity,
+[[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, PolicyKind paper_policy,
+                                                std::size_t capacity,
                                                 LfuMode lfu_mode = LfuMode::kDynamicAging);
 
 }  // namespace webcache::cache

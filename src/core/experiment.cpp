@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -68,15 +70,17 @@ ObjectNum cluster_infinite_cache_size(const workload::Trace& trace, unsigned num
   return cluster_infinite_cache_size(workload::MaterializedTraceSource(trace), num_proxies);
 }
 
-namespace {
-
 std::size_t capacity_from_percent(double percent, ObjectNum infinite_size) {
-  const auto cap = static_cast<std::size_t>(
-      std::llround(percent / 100.0 * static_cast<double>(infinite_size)));
-  return std::max<std::size_t>(1, cap);
+  const double objects = std::round(percent / 100.0 * static_cast<double>(infinite_size));
+  // 2^64 for a 64-bit size_t: every smaller whole non-negative double fits.
+  const double limit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(objects >= 0.0 && objects < limit)) {
+    std::ostringstream what;
+    what << percent << "% of " << infinite_size << " objects is not a cache capacity";
+    throw std::invalid_argument(what.str());
+  }
+  return std::max<std::size_t>(1, static_cast<std::size_t>(objects));
 }
-
-}  // namespace
 
 SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& config) {
   if (config.cache_percents.empty()) {
@@ -90,10 +94,14 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   result.cache_percents = config.cache_percents;
   result.schemes = config.schemes;
   result.infinite_cache_size = cluster_infinite_cache_size(source, config.base.num_proxies);
-  result.client_cache_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(config.client_cache_percent / 100.0 *
-                          static_cast<double>(result.infinite_cache_size))));
+  result.client_cache_capacity =
+      capacity_from_percent(config.client_cache_percent, result.infinite_cache_size);
+  // Sized up front, so an unusable percentage throws here rather than in a
+  // worker thread.
+  std::vector<std::size_t> proxy_capacities;
+  for (const double percent : config.cache_percents) {
+    proxy_capacities.push_back(capacity_from_percent(percent, result.infinite_cache_size));
+  }
 
   const std::size_t num_sizes = config.cache_percents.size();
   const std::size_t num_schemes = config.schemes.size();
@@ -157,8 +165,7 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     c.scheme = scheme;
     c.trace_stats = shared_stats;      // only FC/FC-EC read it
     c.object_ids = shared_object_ids;  // only Hier-GD/Squirrel read it
-    c.proxy_capacity =
-        capacity_from_percent(config.cache_percents[size_index], result.infinite_cache_size);
+    c.proxy_capacity = proxy_capacities[size_index];
     c.client_cache_capacity = result.client_cache_capacity;
     // A shared registry across concurrent jobs would both race and conflate
     // runs; each job gets its own pre-allocated slot (or a private one).

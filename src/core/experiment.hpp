@@ -37,6 +37,11 @@ namespace webcache::core {
 [[nodiscard]] ObjectNum cluster_infinite_cache_size(const workload::Trace& trace,
                                                     unsigned num_proxies);
 
+/// A cache capacity of `percent`% of `infinite_size` objects, rounded to the
+/// nearest object and at least 1. Throws std::invalid_argument when the
+/// product is not finite or does not fit std::size_t.
+[[nodiscard]] std::size_t capacity_from_percent(double percent, ObjectNum infinite_size);
+
 struct SweepConfig {
   std::vector<sim::Scheme> schemes{sim::kAllSchemes.begin(), sim::kAllSchemes.end()};
   std::vector<double> cache_percents = default_cache_percents();

@@ -192,12 +192,8 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     switch (config_.scheme) {
       case Scheme::kNC:
       case Scheme::kSC:
-        proxy.cache = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                        config_.lfu_mode);
-        if (proxy.cache == nullptr) {
-          proxy.cache =
-              std::make_unique<cache::LfuCache>(config_.proxy_capacity, config_.lfu_mode);
-        }
+        proxy.cache = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kLfu,
+                                        config_.proxy_capacity, config_.lfu_mode);
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         break;
@@ -209,16 +205,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       case Scheme::kNC_EC:
       case Scheme::kSC_EC: {
-        auto tier1 = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                       config_.lfu_mode);
-        if (tier1 == nullptr) {
-          tier1 = std::make_unique<cache::LfuCache>(config_.proxy_capacity, config_.lfu_mode);
-        }
-        auto tier2 =
-            cache::make_cache(config_.client_policy, p2p_capacity, config_.lfu_mode);
-        if (tier2 == nullptr) {
-          tier2 = std::make_unique<cache::LfuCache>(p2p_capacity, config_.lfu_mode);
-        }
+        auto tier1 = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kLfu,
+                                       config_.proxy_capacity, config_.lfu_mode);
+        auto tier2 = cache::make_cache(config_.client_policy, cache::PolicyKind::kLfu,
+                                       p2p_capacity, config_.lfu_mode);
         proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
         proxy.tiered->reserve_universe(universe);
         proxy.tiered->bind_observability(reg, proxy_prefix + "tiered.");
@@ -240,11 +230,8 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tier_tracker = std::make_unique<cache::LruCache>(config_.proxy_capacity);
         break;
       case Scheme::kHierGD: {
-        proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                     config_.lfu_mode);
-        if (proxy.gd == nullptr) {
-          proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
-        }
+        proxy.gd = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kGreedyDual,
+                                     config_.proxy_capacity, config_.lfu_mode);
         p2p::P2PConfig pc;
         pc.clients = config_.clients_per_cluster;
         pc.per_client_capacity = config_.client_cache_capacity;

@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "cache/admission.hpp"
 #include "cache/arc.hpp"
+#include "cache/greedy_dual.hpp"
+#include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "cache/policy.hpp"
 #include "cache/w_tinylfu.hpp"
@@ -291,11 +295,23 @@ TEST(PolicySelection, NamesRoundTripAndMakeCacheHonoursKinds) {
     const auto parsed = cache::policy_from_string(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, kind);
-    const auto cache = cache::make_cache(kind, 16);
+    // A named kind wins over the paper policy.
+    const auto cache = cache::make_cache(kind, PolicyKind::kGreedyDual, 16);
     ASSERT_NE(cache, nullptr) << name;
     EXPECT_EQ(cache->capacity(), 16u);
+    const auto other = cache::make_cache(kind, PolicyKind::kLfu, 16);
+    const cache::Cache& built = *cache;
+    const cache::Cache& built_other = *other;
+    EXPECT_EQ(typeid(built), typeid(built_other)) << name;
   }
-  EXPECT_EQ(cache::make_cache(PolicyKind::kDefault, 16), nullptr);
+  // kDefault builds the caller's paper policy, and needs one.
+  const auto lfu = cache::make_cache(PolicyKind::kDefault, PolicyKind::kLfu, 16);
+  EXPECT_NE(dynamic_cast<cache::LfuCache*>(lfu.get()), nullptr);
+  const auto gd = cache::make_cache(PolicyKind::kDefault, PolicyKind::kGreedyDual, 16);
+  EXPECT_NE(dynamic_cast<cache::GreedyDualCache*>(gd.get()), nullptr);
+  EXPECT_EQ(gd->capacity(), 16u);
+  EXPECT_THROW((void)cache::make_cache(PolicyKind::kDefault, PolicyKind::kDefault, 16),
+               std::invalid_argument);
   EXPECT_FALSE(cache::policy_from_string("clock-pro").has_value());
 }
 

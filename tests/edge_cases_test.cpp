@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "sim/simulator.hpp"
@@ -76,6 +77,18 @@ TEST(EdgeCases, SweepWithSquirrelIncluded) {
   const auto r = core::run_sweep(trace, cfg);
   EXPECT_EQ(r.gains[0].size(), 2u);
   EXPECT_EQ(r.gains[0][0], 0.0);  // NC vs itself
+}
+
+// A percentage whose capacity does not fit size_t is an error, not an
+// undefined double -> size_t cast; in range, capacities round to nearest.
+TEST(EdgeCases, SweepRejectsCachePercentBeyondSizeT) {
+  const auto trace = tiny_trace();
+  core::SweepConfig cfg;
+  cfg.schemes = {sim::Scheme::kSC};
+  cfg.cache_percents = {1e300};
+  EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument);
+  EXPECT_EQ(core::capacity_from_percent(33, 499), 165u);
+  EXPECT_EQ(core::capacity_from_percent(0.01, 499), 1u);
 }
 
 TEST(EdgeCases, CsvExportIsWellFormed) {

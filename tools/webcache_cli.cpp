@@ -82,6 +82,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -270,12 +271,15 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
       flags.num("ts-tc", 10.0), flags.num("ts-tl", 20.0), flags.num("tp2p-tl", 1.4));
 
   const auto infinite = core::cluster_infinite_cache_size(trace, cfg.num_proxies);
-  const double cache_pct = flags.percent("cache-pct", 30.0);
-  const double client_pct = flags.percent("client-cache-pct", 0.1);
-  cfg.proxy_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cache_pct / 100.0 * static_cast<double>(infinite)));
-  cfg.client_cache_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(client_pct / 100.0 * static_cast<double>(infinite)));
+  const auto capacity = [&](const std::string& flag, double fallback) {
+    try {
+      return core::capacity_from_percent(flags.percent(flag, fallback), infinite);
+    } catch (const std::invalid_argument& e) {
+      usage("flag --" + flag + ": " + e.what());
+    }
+  };
+  cfg.proxy_capacity = capacity("cache-pct", 30.0);
+  cfg.client_cache_capacity = capacity("client-cache-pct", 0.1);
 
   const auto dir = flags.str("directory", "exact");
   if (dir == "bloom") {
