@@ -28,7 +28,6 @@ int main() {
   base.scheme = sim::Scheme::kHierGD;
   base.proxy_capacity = std::max<std::size_t>(1, infinite * 20 / 100);
   base.client_cache_capacity = std::max<std::size_t>(1, infinite / 1000);
-  base.sim_shards = bench::bench_sim_shards();
 
   // The floor: simple cooperation with no client caches at all.
   sim::SimConfig sc = base;

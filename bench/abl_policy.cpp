@@ -36,7 +36,6 @@ int main() {
     cfg.proxy_capacity = std::max<std::size_t>(
         1, static_cast<std::size_t>(static_cast<double>(infinite) * pct / 100.0));
     cfg.client_cache_capacity = std::max<std::size_t>(1, infinite / 1000);
-    cfg.sim_shards = bench::bench_sim_shards();
     return cfg;
   };
   const double pcts[] = {10.0, 30.0, 50.0};

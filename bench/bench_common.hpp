@@ -11,23 +11,19 @@
 //                         WEBCACHE_BENCH_SCALE=0.1 ./fig2a_cache_size.
 //                         Any positive value works; > 1 oversamples.
 //   WEBCACHE_THREADS      worker threads for run_sweep (default 0 = one per
-//                         core). Results are bitwise identical regardless.
-//   WEBCACHE_SIM_SHARDS   intra-run worker shards WITHIN each simulation
-//                         (default 0 = sequential engine; any value >= 1
-//                         yields byte-identical results — see README
-//                         "Sharded runs"). Composes with WEBCACHE_THREADS:
-//                         threads parallelize across sweep runs, shards
-//                         within each run.
-//   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
-//                         bench's sweeps (same as passing --metrics-out).
-//   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
-//                         export (same as --snapshot-interval; 0 = off).
+//                         core; core::threads_from_env). Results are
+//                         bitwise identical regardless.
 //   WEBCACHE_TRACE_BIN    replay a compiled wctrace/1 file through the mmap
 //                         reader instead of generating the ProWGen workload.
 //                         Every sweep in the bench then replays that one
 //                         trace, so it is meant for single-workload benches
 //                         (fig2a, fig5*, abl_*) and the CI golden-diff gate
 //                         that proves streamed == in-memory exports.
+//
+// Every simulation runs on the sequential engine: a sweep already runs its
+// jobs in parallel (core::run_sweep rejects sharded jobs), and the sharded
+// engine's epoch digests would change the figures. Observability exports
+// are requested with --metrics-out FILE [--snapshot-interval N].
 #pragma once
 
 #include <chrono>
@@ -55,21 +51,6 @@ inline double bench_scale() {
   }
   return 1.0;
 }
-
-/// Worker-thread count for run_sweep: WEBCACHE_THREADS, or 0 (one per core).
-inline unsigned bench_threads() {
-  if (const char* env = std::getenv("WEBCACHE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long t = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') return static_cast<unsigned>(t);
-    std::cerr << "ignoring invalid WEBCACHE_THREADS=" << env << "\n";
-  }
-  return 0;
-}
-
-/// Intra-run shard count for every simulation a bench runs:
-/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine).
-inline unsigned bench_sim_shards() { return core::sim_shards_from_env(); }
 
 /// The paper's default synthetic workload (Section 5.1): one million
 /// requests over 10,000 distinct objects, 50% one-timers, alpha = 0.7.
@@ -106,25 +87,20 @@ inline std::shared_ptr<const workload::TraceSource> bench_source(
 }
 
 /// Observability plumbing shared by the sweep benches: parses
-/// `--metrics-out FILE` and `--snapshot-interval N` from argv (with
-/// WEBCACHE_METRICS_OUT / WEBCACHE_SNAPSHOT_INTERVAL as env fallbacks),
-/// switches the sweep into collect_observability mode, and writes the
+/// `--metrics-out FILE` and `--snapshot-interval N` from argv, switches the
+/// sweep into collect_observability mode, and writes the
 /// "webcache-metrics/1" JSON export after the run. Benches that run several
 /// sweeps pass a distinct label per sweep; the label is inserted before the
 /// file extension ("out.json" + label "a05" -> "out.a05.json").
 class ObsOptions {
  public:
   ObsOptions(int argc, char** argv) {
-    if (const char* env = std::getenv("WEBCACHE_METRICS_OUT")) path_ = env;
-    if (const char* env = std::getenv("WEBCACHE_SNAPSHOT_INTERVAL")) {
-      parse_interval(env, "WEBCACHE_SNAPSHOT_INTERVAL");
-    }
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--metrics-out" && i + 1 < argc) {
         path_ = argv[++i];
       } else if (arg == "--snapshot-interval" && i + 1 < argc) {
-        parse_interval(argv[++i], "--snapshot-interval");
+        parse_interval(argv[++i]);
       } else {
         std::cerr << "ignoring unknown bench argument: " << arg << "\n";
       }
@@ -136,7 +112,7 @@ class ObsOptions {
   /// Turns on registry collection for the sweep when an output was requested.
   void apply(core::SweepConfig& config) const {
     config.collect_observability = enabled();
-    config.snapshot_interval = snapshot_interval_;
+    config.base.snapshot_interval = snapshot_interval_;
   }
 
   /// Writes the sweep's metrics export. Single-sweep benches pass an empty
@@ -167,13 +143,13 @@ class ObsOptions {
   }
 
  private:
-  void parse_interval(const char* value, const char* what) {
+  void parse_interval(const char* value) {
     char* end = nullptr;
     const unsigned long long n = std::strtoull(value, &end, 10);
     if (end != value && *end == '\0') {
       snapshot_interval_ = n;
     } else {
-      std::cerr << "ignoring invalid " << what << "=" << value << "\n";
+      std::cerr << "ignoring invalid --snapshot-interval=" << value << "\n";
     }
   }
 

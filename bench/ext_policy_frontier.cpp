@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
       sweep.schemes = {sim::Scheme::kNC};
       sweep.cache_percents = percents;
       sweep.base.proxy_policy = policy;
-      sweep.base.sim_shards = bench::bench_sim_shards();
-      sweep.threads = bench::bench_threads();
+      sweep.threads = core::threads_from_env();
       obs.apply(sweep);
       const auto result = core::run_sweep(*source, sweep);
       obs.write(result, "ext_policy_frontier",
@@ -102,8 +101,7 @@ int main(int argc, char** argv) {
       core::SweepConfig sweep;
       sweep.schemes = {sim::Scheme::kHierGD};
       sweep.cache_percents = percents;
-      sweep.base.sim_shards = bench::bench_sim_shards();
-      sweep.threads = bench::bench_threads();
+      sweep.threads = core::threads_from_env();
       const auto result = core::run_sweep(*source, sweep);
       std::cout << std::setw(14) << "Hier-GD";
       for (std::size_t i = 0; i < percents.size(); ++i) {

@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   const auto& trace = *source;
 
   core::SweepConfig cfg;  // defaults are exactly the paper's setup
-  cfg.threads = bench::bench_threads();
-  cfg.base.sim_shards = bench::bench_sim_shards();
+  cfg.threads = core::threads_from_env();
   obs.apply(cfg);
   const auto result = core::run_sweep(trace, cfg);
   core::print_gain_table(std::cout, result,

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     const auto source = bench::bench_source(wl);
     const auto& trace = *source;
     core::SweepConfig cfg;
-    cfg.threads = bench::bench_threads();
-    cfg.base.sim_shards = bench::bench_sim_shards();
+    cfg.threads = core::threads_from_env();
     cfg.schemes = {panels[0], panels[1], panels[2], panels[3]};
     obs.apply(cfg);
     results.push_back(core::run_sweep(trace, cfg));

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   std::vector<core::SweepResult> results;
   for (const double ratio : ratios) {
     core::SweepConfig cfg;
-    cfg.threads = bench::bench_threads();
-    cfg.base.sim_shards = bench::bench_sim_shards();
+    cfg.threads = core::threads_from_env();
     cfg.schemes = {sim::Scheme::kHierGD};
     cfg.base.latencies = net::LatencyModel::from_ratios(/*ts_over_tc=*/ratio);
     obs.apply(cfg);

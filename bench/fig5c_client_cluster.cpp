@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
 
   // Reference curves: SC and FC do not use client caches.
   core::SweepConfig ref_cfg;
-  ref_cfg.threads = bench::bench_threads();
-  ref_cfg.base.sim_shards = bench::bench_sim_shards();
+  ref_cfg.threads = core::threads_from_env();
   ref_cfg.schemes = {sim::Scheme::kSC, sim::Scheme::kFC};
   obs.apply(ref_cfg);
   const auto ref = core::run_sweep(trace, ref_cfg);
@@ -28,8 +27,7 @@ int main(int argc, char** argv) {
   std::vector<core::SweepResult> results;
   for (const ClientNum clients : cluster_sizes) {
     core::SweepConfig cfg;
-    cfg.threads = bench::bench_threads();
-    cfg.base.sim_shards = bench::bench_sim_shards();
+    cfg.threads = core::threads_from_env();
     cfg.schemes = {sim::Scheme::kHierGD};
     cfg.base.clients_per_cluster = clients;
     obs.apply(cfg);

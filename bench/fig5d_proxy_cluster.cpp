@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
   std::vector<core::SweepResult> results;
   for (const unsigned proxies : cluster_sizes) {
     core::SweepConfig cfg;
-    cfg.threads = bench::bench_threads();
-    cfg.base.sim_shards = bench::bench_sim_shards();
+    cfg.threads = core::threads_from_env();
     cfg.schemes = {sim::Scheme::kHierGD};
     cfg.base.num_proxies = proxies;
     obs.apply(cfg);

@@ -6,14 +6,8 @@
 #
 # Environment:
 #   WEBCACHE_BENCH_SCALE   scales the request volume (e.g. 0.1 for quick runs)
-#   WEBCACHE_THREADS       run_sweep worker threads, forwarded to every bench
+#   WEBCACHE_THREADS       run_sweep worker threads, read by every bench
 #                          (results are bitwise identical regardless)
-#   WEBCACHE_SIM_SHARDS    intra-run worker shards WITHIN each simulation,
-#                          forwarded to every bench (0 = sequential engine;
-#                          any value >= 1 is byte-identical — see README
-#                          "Sharded runs"). Composes with WEBCACHE_THREADS:
-#                          threads parallelize across a sweep's runs, shards
-#                          inside each run.
 #   WEBCACHE_METRICS_OUT_DIR  when set, each bench also writes its
 #                          "webcache-metrics/1" JSON export(s) into this
 #                          directory as <bench>.metrics[.<label>].json
@@ -36,10 +30,9 @@ for b in "$BUILD_DIR"/bench/*; do
   if [ -n "${WEBCACHE_METRICS_OUT_DIR:-}" ]; then
     mkdir -p "$WEBCACHE_METRICS_OUT_DIR"
     # Benches without an export path (the ablations) ignore it.
-    WEBCACHE_THREADS="${WEBCACHE_THREADS:-0}" WEBCACHE_SIM_SHARDS="${WEBCACHE_SIM_SHARDS:-0}" "$b" \
-      --metrics-out "$WEBCACHE_METRICS_OUT_DIR/$(basename "$b").metrics.json"
+    "$b" --metrics-out "$WEBCACHE_METRICS_OUT_DIR/$(basename "$b").metrics.json"
   else
-    WEBCACHE_THREADS="${WEBCACHE_THREADS:-0}" WEBCACHE_SIM_SHARDS="${WEBCACHE_SIM_SHARDS:-0}" "$b"
+    "$b"
   fi
 done
 

@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "cache/cache.hpp"
-#include "cache/lfu.hpp"
 
 namespace webcache::cache {
 
@@ -42,10 +41,9 @@ enum class PolicyKind {
 
 /// Constructs the selected policy at `capacity`. kDefault builds
 /// `paper_policy`, the owning scheme's own policy (kLfu or kGreedyDual);
-/// std::invalid_argument when that is kDefault too. `lfu_mode` only affects
-/// kLfu.
+/// std::invalid_argument when that is kDefault too. kLfu builds LFU-DA, the
+/// paper's proxy policy.
 [[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, PolicyKind paper_policy,
-                                                std::size_t capacity,
-                                                LfuMode lfu_mode = LfuMode::kDynamicAging);
+                                                std::size_t capacity);
 
 }  // namespace webcache::cache

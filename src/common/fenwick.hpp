@@ -13,7 +13,8 @@ namespace webcache {
 
 class FenwickTree {
  public:
-  explicit FenwickTree(std::size_t n) : tree_(n + 1, 0), weights_(n, 0) {}
+  // weights_ is built first: its length check bounds n, so n + 1 cannot wrap.
+  explicit FenwickTree(std::size_t n) : weights_(n, 0), tree_(n + 1, 0) {}
 
   [[nodiscard]] std::size_t size() const { return weights_.size(); }
   [[nodiscard]] double total() const { return total_; }
@@ -77,8 +78,8 @@ class FenwickTree {
     return n == 0 ? 0 : b;
   }
 
-  std::vector<double> tree_;
   std::vector<double> weights_;
+  std::vector<double> tree_;
   double total_ = 0.0;
 };
 

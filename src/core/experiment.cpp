@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -21,16 +24,15 @@ std::vector<double> default_cache_percents() {
   return {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
 }
 
-unsigned sim_shards_from_env() {
-  static const unsigned shards = [] {
-    if (const char* env = std::getenv("WEBCACHE_SIM_SHARDS")) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && n <= 1024) return static_cast<unsigned>(n);
-    }
-    return 0U;
-  }();
-  return shards;
+unsigned threads_from_env() {
+  const char* env = std::getenv("WEBCACHE_THREADS");
+  if (env == nullptr) return 0;
+  const char* end = env + std::strlen(env);
+  unsigned threads = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, threads);
+  if (ec == std::errc{} && ptr == end) return threads;
+  std::cerr << "ignoring invalid WEBCACHE_THREADS=" << env << "\n";
+  return 0;
 }
 
 ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
@@ -89,6 +91,10 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   if (source.empty()) {
     throw std::invalid_argument("run_sweep: empty trace");
   }
+  if (config.base.sim_shards != 0) {
+    throw std::invalid_argument(
+        "run_sweep: base.sim_shards must be 0; a sweep parallelises across its jobs");
+  }
 
   SweepResult result;
   result.cache_percents = config.cache_percents;
@@ -105,6 +111,12 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
 
   const std::size_t num_sizes = config.cache_percents.size();
   const std::size_t num_schemes = config.schemes.size();
+  // The baseline runs NC at its paper policy; an NC column under a policy
+  // override is a run of its own.
+  const auto reuses_baseline = [&](std::size_t k) {
+    return config.schemes[k] == sim::Scheme::kNC &&
+           config.base.proxy_policy == cache::PolicyKind::kDefault;
+  };
   result.metrics.assign(num_sizes, std::vector<sim::Metrics>(num_schemes));
   result.baseline.assign(num_sizes, sim::Metrics{});
   result.gains.assign(num_sizes, std::vector<double>(num_schemes, 0.0));
@@ -118,9 +130,8 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     for (std::size_t i = 0; i < num_sizes; ++i) {
       result.baseline_registries[i] = std::make_shared<obs::Registry>();
       for (std::size_t k = 0; k < num_schemes; ++k) {
-        result.registries[i][k] = config.schemes[k] == sim::Scheme::kNC
-                                      ? result.baseline_registries[i]
-                                      : std::make_shared<obs::Registry>();
+        result.registries[i][k] = reuses_baseline(k) ? result.baseline_registries[i]
+                                                     : std::make_shared<obs::Registry>();
       }
     }
   }
@@ -155,14 +166,19 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   for (std::size_t i = 0; i < num_sizes; ++i) {
     jobs.push_back({i, num_schemes});
     for (std::size_t k = 0; k < num_schemes; ++k) {
-      if (config.schemes[k] == sim::Scheme::kNC) continue;  // reuse the baseline
+      if (reuses_baseline(k)) continue;
       jobs.push_back({i, k});
     }
   }
 
-  const auto make_config = [&](std::size_t size_index, sim::Scheme scheme) {
+  const auto make_config = [&](std::size_t size_index, std::size_t scheme_index) {
     sim::SimConfig c = config.base;
-    c.scheme = scheme;
+    if (scheme_index == num_schemes) {
+      c.scheme = sim::Scheme::kNC;
+      c.proxy_policy = cache::PolicyKind::kDefault;
+    } else {
+      c.scheme = config.schemes[scheme_index];
+    }
     c.trace_stats = shared_stats;      // only FC/FC-EC read it
     c.object_ids = shared_object_ids;  // only Hier-GD/Squirrel read it
     c.proxy_capacity = proxy_capacities[size_index];
@@ -170,11 +186,11 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     // A shared registry across concurrent jobs would both race and conflate
     // runs; each job gets its own pre-allocated slot (or a private one).
     c.registry = nullptr;
-    c.snapshot_interval = config.collect_observability ? config.snapshot_interval : 0;
+    if (!config.collect_observability) c.snapshot_interval = 0;
     c.trace_capacity = 0;  // the event tracer is a single-run tool
     // Churn/loss injection only applies to schemes with addressable client
     // caches.
-    if (scheme != sim::Scheme::kHierGD && scheme != sim::Scheme::kSquirrel) {
+    if (c.scheme != sim::Scheme::kHierGD && c.scheme != sim::Scheme::kSquirrel) {
       c.churn_events.clear();
       c.p2p_loss_rate = 0.0;
     }
@@ -187,9 +203,7 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
       const std::size_t j = next.fetch_add(1);
       if (j >= jobs.size()) return;
       const Job& job = jobs[j];
-      const sim::Scheme scheme =
-          job.scheme_index == num_schemes ? sim::Scheme::kNC : config.schemes[job.scheme_index];
-      auto job_config = make_config(job.size_index, scheme);
+      auto job_config = make_config(job.size_index, job.scheme_index);
       if (config.collect_observability) {
         job_config.registry = job.scheme_index == num_schemes
                                   ? result.baseline_registries[job.size_index]
@@ -217,7 +231,7 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
 
   for (std::size_t i = 0; i < num_sizes; ++i) {
     for (std::size_t k = 0; k < num_schemes; ++k) {
-      if (config.schemes[k] == sim::Scheme::kNC) {
+      if (reuses_baseline(k)) {
         result.metrics[i][k] = result.baseline[i];
         result.gains[i][k] = 0.0;
       } else {
@@ -301,6 +315,7 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   r.metrics = sim::run_simulation(config, source);
   sim::SimConfig nc = config;
   nc.scheme = sim::Scheme::kNC;
+  nc.proxy_policy = cache::PolicyKind::kDefault;
   // NC has no addressable client caches: no churn or P2P loss.
   nc.churn_events.clear();
   nc.p2p_loss_rate = 0.0;
@@ -310,7 +325,9 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   nc.registry = std::make_shared<obs::Registry>();
   nc.trace_capacity = 0;
   r.baseline_registry = nc.registry;
-  r.baseline = config.scheme == sim::Scheme::kNC ? r.metrics : sim::run_simulation(nc, source);
+  const bool reuse = config.scheme == sim::Scheme::kNC &&
+                     config.proxy_policy == cache::PolicyKind::kDefault;
+  r.baseline = reuse ? r.metrics : sim::run_simulation(nc, source);
   r.gain_percent = 100.0 * sim::latency_gain(r.baseline, r.metrics);
   return r;
 }

@@ -20,12 +20,11 @@ namespace webcache::core {
 /// The paper's x-axis: 10% .. 100% of the infinite cache size.
 [[nodiscard]] std::vector<double> default_cache_percents();
 
-/// Default SimConfig::sim_shards, from WEBCACHE_SIM_SHARDS (0 — the classic
-/// sequential engine — when unset or unparsable). The CLI and every bench
-/// binary seed their configs from this, so one environment variable turns on
-/// intra-run sharding across the whole tool surface (see README "Sharded
-/// runs").
-[[nodiscard]] unsigned sim_shards_from_env();
+/// SweepConfig::threads from WEBCACHE_THREADS, for the CLI and the benches:
+/// the whole value as an unsigned decimal that fits `unsigned`. 0 (one
+/// worker per core) when unset; anything else prints a warning on stderr
+/// and also yields 0.
+[[nodiscard]] unsigned threads_from_env();
 
 /// The "infinite cache size" of one client cluster's request stream: the
 /// number of distinct objects requested more than once by the clients of a
@@ -49,6 +48,10 @@ struct SweepConfig {
   /// (paper: 0.1%, so a 100-client cluster pools 10%).
   double client_cache_percent = 0.1;
   /// Template for everything not swept (scheme/capacities are overwritten).
+  /// base.snapshot_interval reaches the runs only with
+  /// collect_observability. base.sim_shards must be 0: the sweep already
+  /// runs its jobs in parallel, and the sharded engine would change the
+  /// cooperative schemes' results.
   sim::SimConfig base{};
   /// Worker threads for the independent (size x scheme) runs; 0 = hardware
   /// concurrency.
@@ -59,9 +62,6 @@ struct SweepConfig {
   /// populated by exactly one run, so their contents — and the exported
   /// JSON — are identical for any thread count.
   bool collect_observability = false;
-  /// Snapshot interval forwarded to every run (0 = off; only meaningful
-  /// with collect_observability).
-  std::uint64_t snapshot_interval = 0;
 };
 
 struct SweepResult {
@@ -76,14 +76,17 @@ struct SweepResult {
   ObjectNum infinite_cache_size = 0;
   std::size_t client_cache_capacity = 0;
   /// Per-run registries, indexed like metrics/baseline. Empty unless
-  /// SweepConfig::collect_observability; for an NC scheme column the entry
-  /// aliases the baseline registry of the same cache size.
+  /// SweepConfig::collect_observability; for an NC scheme column that
+  /// reuses the baseline the entry aliases the baseline registry of the
+  /// same cache size.
   std::vector<std::vector<std::shared_ptr<obs::Registry>>> registries;
   std::vector<std::shared_ptr<obs::Registry>> baseline_registries;
 };
 
-/// Runs the sweep. The NC baseline is always computed (reused when NC is in
-/// `schemes`). Deterministic regardless of thread count. The TraceSource
+/// Runs the sweep. The NC baseline is always computed with the paper's
+/// proxy policy, whatever base.proxy_policy says; an NC column reuses it
+/// only when base.proxy_policy is the default. Deterministic regardless of
+/// thread count. Throws std::invalid_argument when base.sim_shards != 0. The TraceSource
 /// overload is the primary: workers share one source and replay it through
 /// positional windows, so a compiled (mmap) trace never materializes and the
 /// exports are byte-identical to the in-memory path.
@@ -108,7 +111,8 @@ void write_metrics_json(std::ostream& out, const SweepResult& result,
                         const std::string& name);
 
 /// Single-configuration convenience used by examples: runs `scheme` and NC
-/// at one cache size and returns (metrics, gain%).
+/// at one cache size and returns (metrics, gain%). The NC baseline runs the
+/// paper's proxy policy, whatever config.proxy_policy says.
 struct SingleRun {
   sim::Metrics metrics;
   sim::Metrics baseline;

@@ -30,9 +30,6 @@ struct Metrics {
   /// Latency wasted on directory false positives (Bloom directories only):
   /// P2P lookups for objects that were not there.
   double wasted_p2p_latency = 0.0;
-  /// Latency charged for measured Pastry hops (only when the simulation
-  /// runs with p2p_hop_latency > 0 instead of the constant-Tp2p model).
-  double p2p_hop_latency_total = 0.0;
 
   net::MessageStats messages;
   /// Pastry hops per P2P operation (Hier-GD only).

@@ -25,7 +25,6 @@ Simulator::Instruments::Instruments(obs::Registry& registry,
       fault_objects_lost(registry.counter("fault.objects_lost")),
       total_latency(registry.gauge("sim.total_latency")),
       wasted_p2p_latency(registry.gauge("sim.wasted_p2p_latency")),
-      p2p_hop_latency_total(registry.gauge("sim.p2p_hop_latency_total")),
       p2p_hops(registry.stat("sim.p2p_hops")),
       // A request costs at most ~Ts plus waste surcharges; 4*Ts with 40
       // buckets resolves the Tl/Tc/Tp2p/Ts levels cleanly.
@@ -193,7 +192,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
       case Scheme::kNC:
       case Scheme::kSC:
         proxy.cache = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kLfu,
-                                        config_.proxy_capacity, config_.lfu_mode);
+                                        config_.proxy_capacity);
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         break;
@@ -206,9 +205,9 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
       case Scheme::kNC_EC:
       case Scheme::kSC_EC: {
         auto tier1 = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kLfu,
-                                       config_.proxy_capacity, config_.lfu_mode);
+                                       config_.proxy_capacity);
         auto tier2 = cache::make_cache(config_.client_policy, cache::PolicyKind::kLfu,
-                                       p2p_capacity, config_.lfu_mode);
+                                       p2p_capacity);
         proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
         proxy.tiered->reserve_universe(universe);
         proxy.tiered->bind_observability(reg, proxy_prefix + "tiered.");
@@ -231,7 +230,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       case Scheme::kHierGD: {
         proxy.gd = cache::make_cache(config_.proxy_policy, cache::PolicyKind::kGreedyDual,
-                                     config_.proxy_capacity, config_.lfu_mode);
+                                     config_.proxy_capacity);
         p2p::P2PConfig pc;
         pc.clients = config_.clients_per_cluster;
         pc.per_client_capacity = config_.client_cache_capacity;
@@ -370,7 +369,6 @@ Metrics Simulator::metrics_view() const {
   m.server_fetches = inst_.server_fetches.value();
   m.total_latency = inst_.total_latency.value();
   m.wasted_p2p_latency = inst_.wasted_p2p_latency.value();
-  m.p2p_hop_latency_total = inst_.p2p_hop_latency_total.value();
   m.p2p_hops = inst_.p2p_hops;
   // Simulator-level protocol messages plus each cluster's P2P substrate
   // traffic; the increment sets are disjoint, so the merge is a plain sum.
@@ -417,14 +415,13 @@ void Simulator::maybe_lose(Lane& lane, double& loss_waste) {
 }
 
 void Simulator::account(Lane& lane, std::uint64_t t, ServedFrom where, double waste,
-                        double hop_latency, double loss_waste) {
-  account_raw(lane, t, where,
-              config_.latencies.request_latency(where) + waste + hop_latency + loss_waste,
-              waste + loss_waste, hop_latency);
+                        double loss_waste) {
+  account_raw(lane, t, where, config_.latencies.request_latency(where) + waste + loss_waste,
+              waste + loss_waste);
 }
 
 void Simulator::account_raw(Lane& lane, std::uint64_t t, ServedFrom where, double latency,
-                            double wasted_latency, double hop_latency) {
+                            double wasted_latency) {
   Instruments& inst = lane.inst;
   inst.requests.inc();
   switch (where) {
@@ -437,7 +434,6 @@ void Simulator::account_raw(Lane& lane, std::uint64_t t, ServedFrom where, doubl
   }
   inst.total_latency.add(latency);
   inst.wasted_p2p_latency.add(wasted_latency);
-  inst.p2p_hop_latency_total.add(hop_latency);
   inst.latency_hist.add(latency);
   // Optional layers: the tracer records the request-level event, tick()
   // advances the snapshot clock. Each costs one predictable branch when off
@@ -590,7 +586,6 @@ void Simulator::complete_push(const DeferredOp& op) {
   const auto& lat = config_.latencies;
   double waste = op.waste;
   double loss_waste = op.loss_waste;
-  const double hop_latency = op.hop_latency + config_.p2p_hop_latency * op.hops;
   count_hops(lane, op.hops);
 
   ServedFrom served = ServedFrom::kOriginServer;
@@ -604,7 +599,7 @@ void Simulator::complete_push(const DeferredOp& op) {
   }
   const ClientNum client = client_of(op.raw_client, proxies_[cluster]);
   admit_hier_gd(lane, cluster, op.object, lat.fetch_cost(served), client, loss_waste);
-  account(lane, op.pos, served, waste, hop_latency, loss_waste);
+  account(lane, op.pos, served, waste, loss_waste);
   // A sharded push completes after the rest of its epoch, when a later
   // request may already have filled the browser.
   cache::LruCache* browser = browser_for(cluster, op.raw_client);
@@ -836,14 +831,12 @@ bool Simulator::step_hier_gd(Lane& lane, std::uint64_t t, const Request& request
 
   double waste = 0.0;
   double loss_waste = 0.0;
-  double hop_latency = 0.0;
 
   // Local P2P client cache, gated by the lookup directory.
   if (local.dir->may_contain(object)) {
     maybe_lose(lane, loss_waste);
     const auto fetched = local.p2p->fetch(object, client, /*remove_on_hit=*/true);
     count_hops(lane, fetched.hops);
-    hop_latency += config_.p2p_hop_latency * fetched.hops;
     if (fetched.hit) {
       lane.msg.directory_true_positives.inc();
       local.dir->remove(object);
@@ -852,7 +845,7 @@ bool Simulator::step_hier_gd(Lane& lane, std::uint64_t t, const Request& request
       // Promote into the proxy; the proxy's eviction destages back down.
       admit_hier_gd(lane, cluster, object, lat.fetch_cost(ServedFrom::kLocalP2P), client,
                     loss_waste);
-      account(lane, t, ServedFrom::kLocalP2P, 0.0, hop_latency, loss_waste);
+      account(lane, t, ServedFrom::kLocalP2P, 0.0, loss_waste);
       return true;
     }
     // False positive (Bloom directory, or staleness after client failures):
@@ -883,13 +876,12 @@ bool Simulator::step_hier_gd(Lane& lane, std::uint64_t t, const Request& request
     push.raw_client = request.client;
     push.waste = waste;
     push.loss_waste = loss_waste;
-    push.hop_latency = hop_latency;
     send(push);
     return false;  // complete_push finishes the request
   }
 
   admit_hier_gd(lane, cluster, object, lat.fetch_cost(served), client, loss_waste);
-  account(lane, t, served, waste, hop_latency, loss_waste);
+  account(lane, t, served, waste, loss_waste);
   return true;
 }
 
@@ -909,18 +901,16 @@ void Simulator::step_squirrel(Lane& lane, std::uint64_t t, const Request& reques
   maybe_lose(lane, loss_waste);
   const auto fetched = org.p2p->fetch(object, client, /*remove_on_hit=*/false);
   count_hops(lane, fetched.hops);
-  const double hop_latency = config_.p2p_hop_latency * fetched.hops;
 
   if (fetched.hit) {
-    account_raw(lane, t, ServedFrom::kLocalP2P, lat.p2p_fetch() + hop_latency + loss_waste,
-                loss_waste, hop_latency);
+    account_raw(lane, t, ServedFrom::kLocalP2P, lat.p2p_fetch() + loss_waste, loss_waste);
     return;
   }
   // The home-store leg may also time out; draw it before accounting so its
   // retry penalty lands on this request.
   maybe_lose(lane, loss_waste);
-  account_raw(lane, t, ServedFrom::kOriginServer,
-              lat.p2p_fetch() + lat.server() + hop_latency + loss_waste, loss_waste, hop_latency);
+  account_raw(lane, t, ServedFrom::kOriginServer, lat.p2p_fetch() + lat.server() + loss_waste,
+              loss_waste);
   // The home node stores the object with its refetch cost as the credit.
   // (store() routes again from the client; the message count conservatively
   // includes both legs.)

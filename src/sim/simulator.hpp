@@ -81,10 +81,6 @@ struct SimConfig {
   /// 0.1% of the infinite cache size).
   std::size_t client_cache_capacity = 5;
   net::LatencyModel latencies = net::LatencyModel::from_ratios();
-  /// LFU variant for NC/SC/NC-EC/SC-EC. LFU-DA is the deployed-web-proxy
-  /// behaviour of the paper's era and the variant that responds to temporal
-  /// locality; kPerfect/kInCache exist for sensitivity analysis.
-  cache::LfuMode lfu_mode = cache::LfuMode::kDynamicAging;
   /// Hier-GD lookup directory representation (paper Section 4.2).
   DirectoryKind directory = DirectoryKind::kExact;
   double bloom_target_fpr = 0.01;
@@ -93,11 +89,6 @@ struct SimConfig {
   /// How client-cache capacities vary across machines (paper Section 4.3
   /// motivates diversion by exactly this heterogeneity).
   p2p::CapacitySpread capacity_spread = p2p::CapacitySpread::kUniform;
-  /// Optional per-Pastry-hop latency added to P2P fetch/push operations.
-  /// The paper folds the expected hops into the constant Tp2p (its
-  /// assumption 3); setting this > 0 instead charges the measured hops,
-  /// which makes the client-cluster-size experiments latency-honest.
-  double p2p_hop_latency = 0.0;
   /// Proxy-tier replacement/admission policy override (CLI --proxy-policy).
   /// kDefault keeps each scheme's paper policy: LFU at NC/SC and the *-EC
   /// tier 1, greedy-dual at Hier-GD; the policy ablation sets kGreedyDual,
@@ -286,7 +277,6 @@ class Simulator {
     obs::Counter& fault_objects_lost;  ///< "fault.objects_lost" (crash casualties)
     obs::Gauge& total_latency;
     obs::Gauge& wasted_p2p_latency;
-    obs::Gauge& p2p_hop_latency_total;
     RunningStat& p2p_hops;
     Histogram& latency_hist;  ///< per-request total latency distribution
     Histogram& hops_hist;     ///< Pastry hops per P2P operation
@@ -334,7 +324,6 @@ class Simulator {
     ClientNum raw_client = 0;  ///< kPushFetch: the request's raw client id
     double waste = 0.0;        ///< kPushFetch: requester waste so far
     double loss_waste = 0.0;   ///< kPushFetch: requester loss penalties so far
-    double hop_latency = 0.0;  ///< kPushFetch: requester hop charges so far
     bool hit = false;          ///< kPushFetch outcome (written by apply)
     unsigned hops = 0;         ///< kPushFetch outcome (written by apply)
   };
@@ -382,12 +371,12 @@ class Simulator {
   /// retry penalty to the request's `loss_waste`.
   void maybe_lose(Lane& lane, double& loss_waste);
   /// Records one served request; latency = the model's latency for `where`
-  /// plus the waste, hop and loss surcharges.
+  /// plus the waste and loss surcharges.
   void account(Lane& lane, std::uint64_t t, net::ServedFrom where, double waste = 0.0,
-               double hop_latency = 0.0, double loss_waste = 0.0);
+               double loss_waste = 0.0);
   /// Same with an explicit total latency (Squirrel's proxy-less cost model).
   void account_raw(Lane& lane, std::uint64_t t, net::ServedFrom where, double latency,
-                   double wasted_latency, double hop_latency);
+                   double wasted_latency);
 
   // --- how a kernel reaches another cluster (the only engine difference) ----
   [[nodiscard]] int first_remote(Residency array, ObjectNum object, unsigned cluster) const;

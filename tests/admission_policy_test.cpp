@@ -315,9 +315,9 @@ TEST(PolicySelection, NamesRoundTripAndMakeCacheHonoursKinds) {
   EXPECT_FALSE(cache::policy_from_string("clock-pro").has_value());
 }
 
-// Naming a scheme's paper policy explicitly must change nothing: LFU (at the
-// configured lfu_mode) at NC/SC and the SC-EC first tier, greedy-dual at
-// Hier-GD. The proxy-policy ablation relies on this equivalence.
+// Naming a scheme's paper policy explicitly must change nothing: LFU-DA at
+// NC/SC and the SC-EC first tier, greedy-dual at Hier-GD. The proxy-policy
+// ablation relies on this equivalence.
 TEST(PolicySelection, PaperPolicyByNameExportsLikeDefault) {
   const auto trace = policy_trace();
   const struct {
@@ -330,15 +330,10 @@ TEST(PolicySelection, PaperPolicyByNameExportsLikeDefault) {
       {sim::Scheme::kHierGD, cache::PolicyKind::kGreedyDual},
   };
   for (const auto& c : cases) {
-    for (const auto mode : {cache::LfuMode::kDynamicAging, cache::LfuMode::kPerfect}) {
-      auto cfg = policy_config(c.scheme, cache::PolicyKind::kDefault,
-                               cache::PolicyKind::kDefault);
-      cfg.lfu_mode = mode;
-      const std::string by_default = export_of(cfg, trace);
-      cfg.proxy_policy = c.paper;
-      EXPECT_EQ(by_default, export_of(cfg, trace))
-          << sim::to_string(c.scheme) << " lfu_mode=" << static_cast<int>(mode);
-    }
+    auto cfg = policy_config(c.scheme, cache::PolicyKind::kDefault, cache::PolicyKind::kDefault);
+    const std::string by_default = export_of(cfg, trace);
+    cfg.proxy_policy = c.paper;
+    EXPECT_EQ(by_default, export_of(cfg, trace)) << sim::to_string(c.scheme);
   }
 }
 

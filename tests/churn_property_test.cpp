@@ -368,7 +368,7 @@ TEST(ChurnDeterminism, SweepJsonIsByteIdenticalAcrossThreadCountsUnderChurn) {
   cfg.cache_percents = {20.0, 60.0};
   cfg.schemes = {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kHierGD};
   cfg.collect_observability = true;
-  cfg.snapshot_interval = 5'000;
+  cfg.base.snapshot_interval = 5'000;
   cfg.base.churn_events = fault::make_schedule(heavy_spec(trace.size()), trace.size(),
                                                cfg.base.num_proxies,
                                                cfg.base.clients_per_cluster);

@@ -125,23 +125,5 @@ TEST(EdgeCases, ZeroBrowserCapacityIsDisabled) {
   EXPECT_EQ(m.hits_browser, 0u);
 }
 
-TEST(EdgeCases, HopLatencyChargesMeasuredHops) {
-  const auto trace = tiny_trace();
-  sim::SimConfig cfg;
-  cfg.scheme = sim::Scheme::kHierGD;
-  cfg.proxy_capacity = 20;
-  cfg.clients_per_cluster = 32;
-  cfg.client_cache_capacity = 2;
-  const auto without = sim::run_simulation(cfg, trace);
-  cfg.p2p_hop_latency = 0.2;
-  const auto with = sim::run_simulation(cfg, trace);
-  EXPECT_EQ(without.p2p_hop_latency_total, 0.0);
-  EXPECT_GT(with.p2p_hop_latency_total, 0.0);
-  EXPECT_GT(with.mean_latency(), without.mean_latency());
-  // Hit/miss structure is identical — only the charged latency differs.
-  EXPECT_EQ(with.hits_local_p2p, without.hits_local_p2p);
-  EXPECT_EQ(with.server_fetches, without.server_fetches);
-}
-
 }  // namespace
 }  // namespace webcache

@@ -234,5 +234,50 @@ TEST(Integration, EmptyInputsRejected) {
   EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument);
 }
 
+// A sweep parallelises across its jobs; sharding each job as well would only
+// oversubscribe the cores and change the cooperative schemes' results.
+TEST(Integration, ShardedSweepRejected) {
+  const auto trace = paper_like_trace(10'000, 500);
+  core::SweepConfig cfg;
+  cfg.cache_percents = {50.0};
+  cfg.base.sim_shards = 1;
+  EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument);
+}
+
+void expect_same_outcomes(const sim::Metrics& a, const sim::Metrics& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.hits_local_proxy, b.hits_local_proxy);
+  EXPECT_EQ(a.hits_remote_proxy, b.hits_remote_proxy);
+  EXPECT_EQ(a.server_fetches, b.server_fetches);
+  EXPECT_EQ(a.total_latency, b.total_latency);
+}
+
+// "Gain vs NC" is measured against the paper's NC (LFU at every proxy),
+// whatever proxy policy the scheme under test runs. Under an override, a
+// sweep's NC column is NC at that policy, run as its own job.
+TEST(Integration, BaselineIsNcAtThePaperPolicy) {
+  const auto trace = paper_like_trace(20'000, 1'000);
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kNC;
+  cfg.proxy_capacity =
+      core::capacity_from_percent(20.0, core::cluster_infinite_cache_size(trace, 2));
+  const auto paper_nc = core::run_single(trace, cfg);
+  cfg.proxy_policy = cache::PolicyKind::kWTinyLfu;
+  const auto nc_override = core::run_single(trace, cfg);
+  expect_same_outcomes(nc_override.baseline, paper_nc.metrics);
+  cfg.scheme = sim::Scheme::kHierGD;
+  const auto hier_gd = core::run_single(trace, cfg);
+  expect_same_outcomes(hier_gd.baseline, paper_nc.metrics);
+
+  core::SweepConfig sweep;
+  sweep.schemes = {sim::Scheme::kNC, sim::Scheme::kHierGD};
+  sweep.cache_percents = {20.0};
+  sweep.base.proxy_policy = cache::PolicyKind::kWTinyLfu;
+  const auto result = core::run_sweep(trace, sweep);
+  expect_same_outcomes(result.baseline[0], paper_nc.metrics);
+  expect_same_outcomes(result.metrics[0][0], nc_override.metrics);
+  EXPECT_EQ(result.gains[0][0], nc_override.gain_percent);
+}
+
 }  // namespace
 }  // namespace webcache

@@ -125,7 +125,7 @@ TEST(MetricsExport, SweepJsonIsByteIdenticalAcrossThreadCounts) {
   cfg.cache_percents = {20.0, 60.0};
   cfg.schemes = {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kHierGD};
   cfg.collect_observability = true;
-  cfg.snapshot_interval = 5'000;
+  cfg.base.snapshot_interval = 5'000;
 
   cfg.threads = 1;
   const auto serial = core::run_sweep(trace, cfg);

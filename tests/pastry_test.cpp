@@ -70,7 +70,7 @@ TEST(RoutingTable, RejectsBadDigitWidth) {
 TEST(LeafSet, KeepsClosestPerSide) {
   const NodeId owner(0, 100);
   LeafSet ls(owner, 4);  // 2 per side
-  for (std::uint64_t v : {105, 110, 115, 95, 90, 85}) ls.insert(NodeId(0, v));
+  for (const std::uint64_t v : {105U, 110U, 115U, 95U, 90U, 85U}) ls.insert(NodeId(0, v));
   // Clockwise side keeps 105, 110; counter-clockwise keeps 95, 90.
   EXPECT_TRUE(ls.contains(NodeId(0, 105)));
   EXPECT_TRUE(ls.contains(NodeId(0, 110)));

@@ -81,7 +81,7 @@ TEST(BrowserCache, LatencyIdentityIncludesZeroCostBrowserHits) {
       static_cast<double>(m.hits_remote_p2p) * L.request_latency(net::ServedFrom::kRemoteP2P) +
       static_cast<double>(m.server_fetches) *
           L.request_latency(net::ServedFrom::kOriginServer) +
-      m.wasted_p2p_latency + m.p2p_hop_latency_total;
+      m.wasted_p2p_latency;
   EXPECT_NEAR(m.total_latency, reconstructed, 1e-6 * m.total_latency + 1e-9);
   EXPECT_DOUBLE_EQ(L.request_latency(net::ServedFrom::kBrowser), 0.0);
 }

@@ -1,8 +1,7 @@
 // Determinism contract of the intra-run sharded engine (SimConfig::
 // sim_shards): for every scheme, every export must be byte-identical for ANY
 // shard count >= 1 — with and without churn/loss, replaying in memory or
-// streamed from a compiled .wct with a small replay chunk — and a sweep's
-// write_metrics_json must not depend on shards x threads. Unsupported
+// streamed from a compiled .wct with a small replay chunk. Unsupported
 // configurations (FC/FC-EC, snapshots, tracer, audit hooks, single proxy)
 // must fall back to the sequential engine bit-exactly. Both engines run the
 // same scheme kernels, so at shard_epoch = 1 the sharded engine must
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "fault/churn_schedule.hpp"
 #include "obs/registry.hpp"
 #include "sim/residency_table.hpp"
@@ -170,31 +168,6 @@ TEST(ShardedDeterminism, ShardedRunStillServesEveryRequest) {
         << sim::to_string(scheme);
     EXPECT_EQ(cfg.registry->counter_value("sim.requests"), trace.size())
         << sim::to_string(scheme);
-  }
-}
-
-TEST(ShardedDeterminism, SweepMetricsExportIsShardAndThreadCountIndependent) {
-  const auto trace = shard_trace();
-  core::SweepConfig sweep;
-  sweep.schemes = {sim::Scheme::kSC, sim::Scheme::kHierGD};
-  sweep.cache_percents = {1.0, 5.0};
-  sweep.base = shard_config(sim::Scheme::kNC);
-  sweep.collect_observability = true;
-
-  std::string reference;
-  for (const unsigned shards : {1U, 8U}) {
-    for (const unsigned threads : {1U, 8U}) {
-      sweep.base.sim_shards = shards;
-      sweep.threads = threads;
-      const auto result = core::run_sweep(trace, sweep);
-      std::ostringstream out;
-      core::write_metrics_json(out, result, "sharded_sweep");
-      if (reference.empty()) {
-        reference = out.str();
-      } else {
-        EXPECT_EQ(reference, out.str()) << "shards=" << shards << " threads=" << threads;
-      }
-    }
   }
 }
 

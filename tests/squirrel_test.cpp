@@ -62,8 +62,7 @@ TEST(Squirrel, LatencyIsHomeHitOrHomeMissModel) {
   const double reconstructed =
       static_cast<double>(m.hits_local_p2p) * cfg.latencies.p2p_fetch() +
       static_cast<double>(m.server_fetches) *
-          (cfg.latencies.p2p_fetch() + cfg.latencies.server()) +
-      m.p2p_hop_latency_total;
+          (cfg.latencies.p2p_fetch() + cfg.latencies.server());
   EXPECT_NEAR(m.total_latency, reconstructed, 1e-6 * m.total_latency);
 }
 

@@ -24,7 +24,6 @@ void expect_identical(const sim::Metrics& a, const sim::Metrics& b, const char* 
   // Bitwise: no tolerance. Threading must not change summation order.
   EXPECT_EQ(a.total_latency, b.total_latency) << where;
   EXPECT_EQ(a.wasted_p2p_latency, b.wasted_p2p_latency) << where;
-  EXPECT_EQ(a.p2p_hop_latency_total, b.p2p_hop_latency_total) << where;
 }
 
 TEST(SweepDeterminism, SingleThreadAndEightThreadsBitwiseIdentical) {

@@ -13,7 +13,9 @@ TEST(ZipfSampler, PmfIsNormalizedAndMonotone) {
   double total = 0.0;
   for (std::size_t i = 0; i < 100; ++i) {
     total += z.probability(i);
-    if (i > 0) EXPECT_LE(z.probability(i), z.probability(i - 1));
+    if (i > 0) {
+      EXPECT_LE(z.probability(i), z.probability(i - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }

@@ -9,7 +9,7 @@
 //                         [--churn-crashes N --churn-recover-after N
 //                          --churn-joins N --churn-repair-every N
 //                          --churn-start N --churn-seed N --churn-loss X
-//                          --audit-interval N]
+//                          --audit-interval N] [--shards N]
 //                         [--metrics-out m.json --trace-out t.csv
 //                          --snapshot-interval N]
 //   webcache_cli sweep    [--schemes NC,SC,...] [--cache-pcts 10,20,...]
@@ -35,12 +35,12 @@
 //                           paper policy. FC/FC-EC reject overrides.
 //   --client-policy P       client-tier policy override (Hier-GD/Squirrel
 //                           cooperative caches, *-EC second tier); same names
+// Engine flag (simulate only):
 //   --shards N              intra-run sharding: partition ONE simulation
 //                           across N worker threads (clusters round-robin
 //                           over shards; byte-identical results for any
-//                           N >= 1; 0 = classic sequential engine). Default
-//                           from WEBCACHE_SIM_SHARDS. See README
-//                           "Sharded runs" for the determinism contract.
+//                           N >= 1; default 0 = the sequential engine the
+//                           figures use). See README "Sharded runs".
 // Observability flags (schema "webcache-metrics/1", see README):
 //   --metrics-out FILE      full registry export; .csv extension selects the
 //                           flat CSV form, anything else writes JSON
@@ -65,9 +65,6 @@
 // Environment:
 //   WEBCACHE_THREADS     worker threads for sweep (default 0 = one per core;
 //                        results are bitwise identical regardless).
-//   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
-//                        simulation (0 = sequential engine; any value >= 1
-//                        yields byte-identical results).
 //
 // Numeric flags must be a whole token: integers in the range of their
 // setting (no sign, fraction or exponent), reals finite, percentages > 0.
@@ -117,7 +114,7 @@ using namespace webcache;
       "            --proxy-policy P --client-policy P]\n"
       "           [--churn-crashes N --churn-recover-after N --churn-joins N\n"
       "            --churn-repair-every N --churn-start N --churn-seed N\n"
-      "            --churn-loss X --audit-interval N]\n"
+      "            --churn-loss X --audit-interval N] [--shards N]\n"
       "           [--metrics-out FILE --trace-out FILE --trace-capacity N\n"
       "            --snapshot-interval N]\n"
       "  sweep    [--schemes A,B,...] [--cache-pcts 10,20,...] [--csv FILE]\n"
@@ -215,8 +212,8 @@ const std::vector<std::string> kWorkloadFlags = {
 };
 const std::vector<std::string> kClusterFlags = {
     "proxies", "cache-pct", "client-cache-pct", "directory", "bloom-fpr",
-    "no-diversion", "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "shards",
-    "proxy-policy", "client-policy",
+    "no-diversion", "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "proxy-policy",
+    "client-policy",
 };
 const std::vector<std::string> kChurnFlags = {
     "churn-crashes", "churn-recover-after", "churn-joins", "churn-repair-every",
@@ -290,7 +287,6 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
-  cfg.sim_shards = flags.integer<unsigned>("shards", core::sim_shards_from_env());
 
   // Policy overrides; unset keeps each scheme's paper policy.
   const auto parse_policy = [&flags](const std::string& flag) {
@@ -447,7 +443,7 @@ int cmd_simulate(const Flags& flags) {
   known.insert(known.end(), kClusterFlags.begin(), kClusterFlags.end());
   known.insert(known.end(), kChurnFlags.begin(), kChurnFlags.end());
   known.insert(known.end(), {"scheme", "trace", "squid", "metrics-out", "trace-out",
-                             "trace-capacity", "snapshot-interval"});
+                             "trace-capacity", "snapshot-interval", "shards"});
   flags.reject_unknown(known);
 
   const auto scheme = sim::scheme_from_string(flags.str("scheme", "Hier-GD"));
@@ -456,6 +452,7 @@ int cmd_simulate(const Flags& flags) {
   const auto source = source_from(flags);
   auto cfg = cluster_from(flags, *source);
   cfg.scheme = *scheme;
+  cfg.sim_shards = flags.integer<unsigned>("shards", 0);
   cfg.snapshot_interval = flags.integer<std::uint64_t>("snapshot-interval", 0);
   apply_churn_flags(flags, cfg, source->size());
   if (flags.has("trace-out")) {
@@ -503,16 +500,8 @@ int cmd_sweep(const Flags& flags) {
   sweep.base = cluster_from(flags, *source);
   sweep.client_cache_percent = flags.percent("client-cache-pct", 0.1);
   sweep.collect_observability = flags.has("metrics-out");
-  sweep.snapshot_interval = flags.integer<std::uint64_t>("snapshot-interval", 0);
-  if (const char* env = std::getenv("WEBCACHE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long t = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      sweep.threads = static_cast<unsigned>(t);
-    } else {
-      std::cerr << "ignoring invalid WEBCACHE_THREADS=" << env << "\n";
-    }
-  }
+  sweep.base.snapshot_interval = flags.integer<std::uint64_t>("snapshot-interval", 0);
+  sweep.threads = core::threads_from_env();
 
   if (flags.has("schemes")) {
     sweep.schemes.clear();
